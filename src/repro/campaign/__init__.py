@@ -36,14 +36,14 @@ from repro.campaign.runner import (
     run_campaign,
     run_experiment,
     run_matrix,
+    run_records,
 )
 from repro.campaign.schedule import (
-    SCHEDULES,
     PhaseTimes,
     SchedulerStats,
     TriggerScheduler,
     resolve_trigger_order,
-    validate_schedule,
+    uses_scheduler,
 )
 
 __all__ = [
@@ -80,10 +80,10 @@ __all__ = [
     "run_campaign",
     "run_experiment",
     "run_matrix",
-    "SCHEDULES",
+    "run_records",
     "PhaseTimes",
     "SchedulerStats",
     "TriggerScheduler",
     "resolve_trigger_order",
-    "validate_schedule",
+    "uses_scheduler",
 ]

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -34,17 +34,18 @@ from repro.campaign.checkpoint import (
 from repro.campaign.events import EventLog
 from repro.campaign.io import experiment_event_fields, merge_results
 from repro.campaign.results import CampaignResult
-from repro.campaign.runner import DEFAULT_SEED, _fresh_result, run_experiment
+from repro.campaign.runner import DEFAULT_SEED, _fresh_result, run_records
 from repro.campaign.schedule import (
     PhaseTimes,
+    RetainedSchedulers,
     TriggerScheduler,
     resolve_trigger_order,
-    validate_schedule,
+    uses_scheduler,
 )
 from repro.errors import CampaignError
 from repro.fi.config import FIConfig
 from repro.fi.models import resolve_fault_model
-from repro.fi.tools import TOOL_CLASSES
+from repro.fi.tools import TOOL_CLASSES, FITool
 from repro.campaign.classify import Outcome
 
 #: Target number of chunks handed to each worker.  More than one, so that
@@ -74,61 +75,83 @@ class SliceTask:
     keep_records: bool
     opcode_faults: float
     chunk: int
-    #: snapshot fast path: ``None`` = off, ``0`` = auto interval.  The dir
-    #: points at the shared on-disk store so concurrent workers reuse one
-    #: golden run per binary (see :mod:`repro.snapshot`).
-    snapshot_interval: int | None = None
-    snapshot_dir: str | None = None
     #: execution engine name (``None`` = environment/default)
     engine: str | None = None
-    #: experiment visiting order within the slice (``index`` or ``trigger``)
-    schedule: str = "index"
     #: canonical fault-model spec (repro.fi.models); the single-bit default
     #: keeps pickled/JSON tasks from older coordinators valid.
     fault_model: str = "single-bit"
+    #: persistent decoded-translation cache directory (``None`` = none)
+    cache_dir: str | None = None
+
+    def make_tool(self) -> FITool:
+        config = FIConfig(
+            enabled=self.fi_enabled, funcs=self.fi_funcs, instrs=self.fi_instrs
+        )
+        return TOOL_CLASSES[self.tool_name](
+            self.source, self.workload, config=config,
+            opt_level=self.opt_level, opcode_faults=self.opcode_faults,
+            engine=self.engine, fault_model=self.fault_model,
+            cache_dir=self.cache_dir,
+        )
+
+
+def runner_for(tool: FITool) -> tuple[FITool, TriggerScheduler | None]:
+    """A retainable ``(tool, scheduler)`` pair (no scheduler for the
+    per-index path)."""
+    return tool, TriggerScheduler(tool) if uses_scheduler(tool) else None
+
+
+def run_part(
+    tool: FITool,
+    base_seed: int,
+    indices,
+    scheduler: TriggerScheduler | None = None,
+) -> CampaignResult:
+    """Run ``indices`` of a campaign into one partial result.
+
+    Per-experiment records are always collected — the consumer needs them
+    to emit ``experiment`` telemetry events and feed write-through result
+    sinks (:mod:`repro.resultsdb`) — and strips them after emission when
+    the campaign did not ask for ``keep_records``.  This batch's phase and
+    scheduler breakdowns ride back on the result (see
+    :mod:`repro.campaign.io`) for aggregation.
+    """
+    result = _fresh_result(tool, len(indices))
+    records, phases, scheduler = run_records(
+        tool, base_seed, indices, scheduler=scheduler
+    )
+    for rec in records:
+        result.add(rec, keep_record=True)
+    result.phase_times = phases.as_dict()
+    if scheduler is not None:
+        result.scheduler_stats = scheduler.stats.as_dict()
+    return result
+
+
+#: Schedulers a pool process keeps across slices of one campaign; created
+#: by :func:`init_pool_process`, so it exists only inside pool processes.
+_pool_schedulers: RetainedSchedulers | None = None
+
+
+def init_pool_process() -> None:
+    """``ProcessPoolExecutor`` initializer for slice-running processes."""
+    global _pool_schedulers
+    _pool_schedulers = RetainedSchedulers()
 
 
 def run_slice(task: SliceTask) -> CampaignResult:
-    """Run one slice of a campaign (executed inside a worker process).
+    """Run one slice of a campaign (usually inside a pool process).
 
-    Per-experiment records are always collected here — the parent needs
-    them to emit ``experiment`` telemetry events and feed write-through
-    result sinks (:mod:`repro.resultsdb`) — and are stripped by the parent
-    after emission when the campaign did not ask for ``keep_records``.
+    Consecutive slices of one campaign in the same pool process share a
+    retained scheduler, so only the first runs the full golden cursor.
     """
-    config = FIConfig(
-        enabled=task.fi_enabled, funcs=task.fi_funcs, instrs=task.fi_instrs
+    if _pool_schedulers is None:
+        return run_part(task.make_tool(), task.base_seed, task.indices)
+    tool, scheduler = _pool_schedulers.get(
+        replace(task, indices=(), chunk=0),
+        lambda: runner_for(task.make_tool()),
     )
-    tool = TOOL_CLASSES[task.tool_name](
-        task.source, task.workload, config=config, opt_level=task.opt_level,
-        opcode_faults=task.opcode_faults, engine=task.engine,
-        fault_model=task.fault_model,
-    )
-    if task.snapshot_interval is not None:
-        tool.enable_snapshots(
-            interval=task.snapshot_interval, store_dir=task.snapshot_dir,
-            coarse=task.schedule == "trigger",
-        )
-    result = _fresh_result(tool, len(task.indices))
-    if task.schedule == "trigger":
-        # The slice is a contiguous trigger range; run it along one golden
-        # cursor.  Phase/scheduler breakdowns ride back on the pickled
-        # result so the parent can aggregate and emit telemetry.
-        sched = TriggerScheduler(tool)
-        for rec in sched.run_batch(task.base_seed, task.indices):
-            result.add(rec, keep_record=True)
-        result.phase_times = sched.phases.as_dict()
-        result.scheduler_stats = sched.stats.as_dict()
-    else:
-        for i in task.indices:
-            result.add(
-                run_experiment(tool, task.base_seed, i), keep_record=True
-            )
-    if tool.snapshots is not None:
-        # Piggy-backed on the pickled result so the parent can surface the
-        # worker's hit rate as a snapshot_stats event.
-        result.snapshot_stats = tool.snapshots.stats.as_dict()
-    return result
+    return run_part(tool, task.base_seed, task.indices, scheduler)
 
 
 def run_campaign_parallel(
@@ -147,11 +170,9 @@ def run_campaign_parallel(
     checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
     events: EventLog | None = None,
     chunk_size: int | None = None,
-    snapshot_interval: int | None = None,
-    snapshot_dir: str | Path | None = None,
     engine: str | None = None,
-    schedule: str = "index",
     fault_model: str | None = None,
+    cache_dir: str | Path | None = None,
 ) -> CampaignResult:
     """Run ``n`` experiments across ``workers`` processes.
 
@@ -166,21 +187,15 @@ def run_campaign_parallel(
     and an existing checkpoint is resumed by excluding its completed
     indices from the new chunks.
 
-    ``snapshot_interval`` (``None`` = off, ``0`` = auto) turns on the
-    golden-run snapshot fast path inside every worker; ``snapshot_dir``
-    (default: a ``snapshots`` directory next to the checkpoint) is the
-    store the workers share, so the golden run is recorded once per binary
-    no matter the worker count.
-
-    ``schedule="trigger"`` re-shards the campaign from index ranges to
-    **contiguous trigger ranges**: the parent pre-resolves every remaining
-    experiment's trigger (a pure function of its seed), sorts by
-    ``(trigger, index)``, and cuts chunks along that order, so each worker's
-    golden cursor sweeps one compact window of the timeline.  Results stay
-    keyed by global experiment index and the merge accepts out-of-order
-    parts, so the outcome is bit-identical to the index schedule.
+    Fast-engine campaigns are sharded into **contiguous trigger ranges**:
+    the parent pre-resolves every remaining experiment's trigger (a pure
+    function of its seed), sorts by ``(trigger, index)``, and cuts chunks
+    along that order, so each worker's golden cursor sweeps one compact
+    window of the timeline.  Results stay keyed by global experiment index
+    and the merge accepts out-of-order parts, so the outcome is
+    bit-identical to the sequential run.  ``cache_dir`` persists decoded
+    translations for every worker process.
     """
-    validate_schedule(schedule)
     if n <= 0:
         raise CampaignError("campaign needs n >= 1 experiments")
     if workers <= 0:
@@ -204,12 +219,6 @@ def run_campaign_parallel(
     model = resolve_fault_model(fault_model)
     model.check_tool(cls)
     config = config or FIConfig()
-    if (
-        snapshot_interval is not None
-        and snapshot_dir is None
-        and checkpoint_path is not None
-    ):
-        snapshot_dir = Path(checkpoint_path).parent / "snapshots"
 
     phases = PhaseTimes()
     scheduler_totals: dict[str, int] = {}
@@ -277,7 +286,7 @@ def run_campaign_parallel(
                 total_steps=result.total_steps,
                 total_candidates=result.total_candidates,
                 golden_output=list(result.golden_output),
-                schedule=schedule,
+                schedule="trigger" if scheduler_totals else "index",
                 fault_model=model.spec,
                 phases=phases.as_dict(),
                 **(
@@ -295,25 +304,6 @@ def run_campaign_parallel(
             )
         return _finish(prior)
 
-    if schedule == "trigger":
-        # Pre-resolve every remaining experiment's trigger in the parent and
-        # re-order the work list along the golden timeline; contiguous
-        # chunks of this list are trigger ranges, so each worker's cursor
-        # covers one compact window instead of the whole run.  The parent
-        # tool is also the fail-fast check that the tool/engine combination
-        # supports trigger scheduling (raises here, not as a pickled
-        # worker traceback).
-        t0 = time.perf_counter()
-        order_tool = cls(
-            source, workload, config=config, opt_level=opt_level,
-            opcode_faults=opcode_faults, engine=engine, fault_model=model,
-        )
-        TriggerScheduler(order_tool)
-        remaining = [
-            i for _, i in resolve_trigger_order(order_tool, base_seed, remaining)
-        ]
-        phases.translate_s += time.perf_counter() - t0
-
     workers = min(workers, len(remaining))
     if chunk_size is None:
         chunk_size = max(
@@ -321,6 +311,23 @@ def run_campaign_parallel(
         )
     elif chunk_size <= 0:
         raise CampaignError("chunk_size must be positive")
+    if len(remaining) > chunk_size:
+        order_tool = cls(
+            source, workload, config=config, opt_level=opt_level,
+            opcode_faults=opcode_faults, engine=engine, fault_model=model,
+            cache_dir=None if cache_dir is None else str(cache_dir),
+        )
+        if uses_scheduler(order_tool):
+            # Pre-resolve every remaining experiment's trigger in the parent
+            # and re-order the work list along the golden timeline;
+            # contiguous chunks of this list are trigger ranges, so each
+            # worker's cursor covers one compact window of the run.
+            t0 = time.perf_counter()
+            remaining = [
+                i for _, i in
+                resolve_trigger_order(order_tool, base_seed, remaining)
+            ]
+            phases.translate_s += time.perf_counter() - t0
     chunks = [
         tuple(remaining[lo:lo + chunk_size])
         for lo in range(0, len(remaining), chunk_size)
@@ -339,11 +346,9 @@ def run_campaign_parallel(
             keep_records=keep_records,
             opcode_faults=opcode_faults,
             chunk=ci,
-            snapshot_interval=snapshot_interval,
-            snapshot_dir=None if snapshot_dir is None else str(snapshot_dir),
             engine=engine,
-            schedule=schedule,
             fault_model=model.spec,
+            cache_dir=None if cache_dir is None else str(cache_dir),
         )
         for ci, indices in enumerate(chunks)
     ]
@@ -381,12 +386,6 @@ def run_campaign_parallel(
                 completed=len(completed), n=n,
                 counts={o.value: part.frequency(o) for o in Outcome},
             )
-            stats = getattr(part, "snapshot_stats", None)
-            if stats is not None:
-                events.emit(
-                    "snapshot_stats", workload=workload, tool=tool_name,
-                    chunk=task.chunk, **stats,
-                )
             if sched_stats is not None:
                 events.emit(
                     "scheduler_stats", workload=workload, tool=tool_name,
@@ -408,7 +407,10 @@ def run_campaign_parallel(
             raise
         _note_done(tasks[0], part)
     else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+        with ProcessPoolExecutor(
+            max_workers=min(workers, len(tasks)),
+            initializer=init_pool_process,
+        ) as pool:
             futures = {pool.submit(run_slice, t): t for t in tasks}
             if events is not None:
                 for t in tasks:

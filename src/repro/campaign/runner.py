@@ -31,7 +31,7 @@ from repro.campaign.results import CampaignResult, ExperimentRecord
 from repro.campaign.schedule import (
     PhaseTimes,
     TriggerScheduler,
-    validate_schedule,
+    uses_scheduler,
 )
 from repro.errors import CampaignError
 from repro.fi.config import FIConfig
@@ -52,37 +52,26 @@ def make_tool(
     config: FIConfig | None = None,
     opt_level: str = "O2",
     opcode_faults: float = 0.0,
-    snapshot_interval: int | None = None,
-    snapshot_dir: str | Path | None = None,
-    events: EventLog | None = None,
     engine: str | None = None,
-    schedule: str = "index",
     fault_model: str | None = None,
+    cache_dir: str | Path | None = None,
 ) -> FITool:
-    """Build a configured tool; ``snapshot_interval`` (``None`` = off,
-    ``0`` = auto) attaches the snapshot fast path, with ``snapshot_dir``
-    as the shared on-disk golden-run store.  ``engine`` selects the
-    execution engine (``None`` = environment/default).  ``schedule`` only
-    retunes the auto snapshot interval: trigger-ordered campaigns serve
-    tails from in-memory forks, so the persistent store keeps coarse
-    resume points only.  ``fault_model`` is a :mod:`repro.fi.models` spec
-    (``None`` = the paper's single-bit default)."""
+    """Build a configured tool.  ``engine`` selects the execution engine
+    (``None`` = environment/default); ``fault_model`` is a
+    :mod:`repro.fi.models` spec (``None`` = the paper's single-bit
+    default); ``cache_dir`` persists the fast engine's decoded
+    translations across processes."""
     try:
         cls = TOOL_CLASSES[tool_name]
     except KeyError:
         raise CampaignError(
             f"unknown tool {tool_name!r}; choose from {sorted(TOOL_CLASSES)}"
         ) from None
-    tool = cls(
+    return cls(
         source, workload, config=config, opt_level=opt_level,
         opcode_faults=opcode_faults, engine=engine, fault_model=fault_model,
+        cache_dir=None if cache_dir is None else str(cache_dir),
     )
-    if snapshot_interval is not None:
-        tool.enable_snapshots(
-            interval=snapshot_interval, store_dir=snapshot_dir, events=events,
-            coarse=schedule == "trigger",
-        )
-    return tool
 
 
 def run_experiment(
@@ -91,16 +80,13 @@ def run_experiment(
     index: int,
     phases: PhaseTimes | None = None,
 ) -> ExperimentRecord:
-    """Run the single experiment at global ``index`` and record it.
+    """Run the single experiment at global ``index`` from scratch.
 
-    The one place (shared by the sequential and parallel runners) where an
-    experiment's seed is derived and its outcome classified — so every
-    execution mode agrees bit-for-bit.  ``phases`` accumulates the
+    The per-index path of reference-engine campaigns, and the oracle side
+    of every scheduler equivalence check.  ``phases`` accumulates the
     per-phase wall-clock breakdown (injection run vs. classification).
     """
     seed = derive_seed(base_seed, tool.workload, tool.name, index)
-    snaps = tool.snapshots
-    hits_before = snaps.stats.hits if snaps is not None else 0
     t0 = time.perf_counter()
     run = tool.inject(seed)
     t1 = time.perf_counter()
@@ -118,20 +104,35 @@ def run_experiment(
         fault=run.result.fault,
         index=index,
         engine=tool.engine.name,
-        snapshot_hit=None if snaps is None else snaps.stats.hits > hits_before,
     )
 
 
-def _emit_snapshot_stats(tool: FITool, events: EventLog | None) -> None:
-    """Publish the tool's snapshot-engine counters as one telemetry event."""
-    if events is None or tool.snapshots is None:
-        return
-    events.emit(
-        "snapshot_stats",
-        workload=tool.workload,
-        tool=tool.name,
-        **tool.snapshots.stats.as_dict(),
+def run_records(
+    tool: FITool,
+    base_seed: int,
+    indices,
+    scheduler: TriggerScheduler | None = None,
+    events: EventLog | None = None,
+):
+    """The one campaign execution path: returns ``(records, phases,
+    scheduler)`` — the record iterator for ``indices``, the
+    :class:`PhaseTimes` it accumulates into, and the scheduler that runs
+    it (``None`` for the per-index loop).
+
+    Fast-engine tools run trigger-ordered along one golden cursor
+    (``scheduler``, if given, is a retained one whose golden chain is
+    reused); reference-engine tools run each index from scratch.
+    """
+    if uses_scheduler(tool):
+        if scheduler is None:
+            scheduler = TriggerScheduler(tool, events=events)
+        records = scheduler.run_batch(base_seed, indices)
+        return records, scheduler.phases, scheduler
+    phases = PhaseTimes()
+    records = (
+        run_experiment(tool, base_seed, i, phases=phases) for i in indices
     )
+    return records, phases, None
 
 
 def _fresh_result(tool: FITool, n: int) -> CampaignResult:
@@ -156,7 +157,6 @@ def run_campaign(
     checkpoint_path: str | Path | None = None,
     checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
     events: EventLog | None = None,
-    schedule: str = "index",
 ) -> CampaignResult:
     """Run ``n`` single-fault experiments with the given tool.
 
@@ -167,16 +167,16 @@ def run_campaign(
     ``events`` receives the JSONL telemetry stream (see
     :mod:`repro.campaign.events`).
 
-    ``schedule="trigger"`` visits experiments sorted by injection trigger
-    along one golden cursor (see :mod:`repro.campaign.schedule`) instead
-    of in index order; the aggregate result is bit-identical (checkpoints
-    track the completed-index *set*, so resume works under reordering).
+    Fast-engine campaigns visit experiments sorted by injection trigger
+    along one golden cursor (see :mod:`repro.campaign.schedule`);
+    reference-engine campaigns run each index from scratch.  The aggregate
+    result is the same either way (checkpoints track the completed-index
+    *set*, so resume works under reordering).
     """
     if n <= 0:
         raise CampaignError("campaign needs n >= 1 experiments")
     if checkpoint_every <= 0:
         raise CampaignError("checkpoint_every must be positive")
-    validate_schedule(schedule)
     profile = tool.profile
 
     completed: set[int] = set()
@@ -228,20 +228,11 @@ def run_campaign(
                 "checkpoint", path=str(checkpoint_path),
                 completed=len(completed), n=n,
             )
-        _emit_snapshot_stats(tool, events)
 
     remaining = [i for i in range(n) if i not in completed]
-    phases = PhaseTimes()
-    scheduler: TriggerScheduler | None = None
-    if schedule == "trigger":
-        scheduler = TriggerScheduler(tool, events=events)
-        phases = scheduler.phases
-        records = scheduler.run_batch(base_seed, remaining)
-    else:
-        records = (
-            run_experiment(tool, base_seed, i, phases=phases)
-            for i in remaining
-        )
+    records, phases, scheduler = run_records(
+        tool, base_seed, remaining, events=events
+    )
 
     started = time.monotonic()
     since_checkpoint = 0
@@ -284,7 +275,6 @@ def run_campaign(
         result.records.sort(key=lambda r: r.index)
 
     wall = time.monotonic() - started
-    _emit_snapshot_stats(tool, events)
     if events is not None:
         extra = {"scheduler": scheduler.stats.as_dict()} if scheduler else {}
         events.emit(
@@ -295,7 +285,8 @@ def run_campaign(
             golden_output=list(result.golden_output),
             wall_s=wall,
             experiments_per_sec=(len(completed) / wall) if wall > 0 else 0.0,
-            schedule=schedule, phases=phases.as_dict(),
+            schedule="index" if scheduler is None else "trigger",
+            phases=phases.as_dict(),
             fault_model=tool.fault_model.spec, **extra,
         )
     return result
@@ -325,10 +316,7 @@ def run_matrix(
     checkpoint_dir: str | Path | None = None,
     checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
     events: EventLog | None = None,
-    snapshot_interval: int | None = None,
-    snapshot_dir: str | Path | None = None,
     engine: str | None = None,
-    schedule: str = "index",
     fault_model: str | None = None,
 ) -> dict[tuple[str, str], CampaignResult]:
     """Run the full (workload x tool) campaign matrix, like the paper's
@@ -337,21 +325,15 @@ def run_matrix(
     ``keep_records=True`` keeps per-experiment :class:`ExperimentRecord`
     fault logs in every cell (so :func:`repro.campaign.save_matrix` can
     persist them).  ``checkpoint_dir`` gives every cell its own checkpoint
-    file; re-running the same matrix resumes unfinished cells and skips
-    finished ones.  ``workers > 1`` runs each cell with the multi-process
-    runner (identical results, any worker count).  ``snapshot_interval``
-    (``None`` = off, ``0`` = auto) enables the golden-run snapshot fast
-    path; the store defaults to ``<checkpoint_dir>/snapshots`` so every
-    worker shares one golden run per binary.  ``schedule="trigger"`` runs
-    every cell trigger-ordered (see :mod:`repro.campaign.schedule`).
+    file (and persists decoded translations under
+    ``<checkpoint_dir>/decoded``); re-running the same matrix resumes
+    unfinished cells and skips finished ones.  ``workers > 1`` runs each
+    cell with the multi-process runner (identical results, any worker
+    count).
     """
-    validate_schedule(schedule)
-    if (
-        snapshot_interval is not None
-        and snapshot_dir is None
-        and checkpoint_dir is not None
-    ):
-        snapshot_dir = Path(checkpoint_dir) / "snapshots"
+    cache_dir = None
+    if checkpoint_dir is not None:
+        cache_dir = Path(checkpoint_dir) / "decoded"
     results: dict[tuple[str, str], CampaignResult] = {}
     for workload, source in sources.items():
         for tool_name in tool_names:
@@ -370,22 +352,19 @@ def run_matrix(
                     keep_records=keep_records, progress=cb,
                     checkpoint_path=ckpt_path,
                     checkpoint_every=checkpoint_every, events=events,
-                    snapshot_interval=snapshot_interval,
-                    snapshot_dir=snapshot_dir, engine=engine,
-                    schedule=schedule, fault_model=fault_model,
+                    engine=engine, fault_model=fault_model,
+                    cache_dir=cache_dir,
                 )
             else:
                 tool = make_tool(
                     tool_name, source, workload, config, opt_level,
-                    snapshot_interval=snapshot_interval,
-                    snapshot_dir=snapshot_dir, events=events, engine=engine,
-                    schedule=schedule, fault_model=fault_model,
+                    engine=engine, fault_model=fault_model,
+                    cache_dir=cache_dir,
                 )
                 results[(workload, tool_name)] = run_campaign(
                     tool, n, base_seed, keep_records=keep_records,
                     progress=cb, checkpoint_path=ckpt_path,
                     checkpoint_every=checkpoint_every, events=events,
-                    schedule=schedule,
                 )
     return results
 

@@ -1,14 +1,12 @@
-"""Trigger-ordered campaign scheduling with shared-prefix forking.
+"""Trigger-ordered campaign execution along one golden cursor.
 
-The snapshot fast path (PR 4) and the free-run engine (PR 5) made each
-experiment cheap, but campaigns still visit experiments in *index* order:
-triggers arrive in random positions along the golden timeline, so every
-injection independently replays the golden prefix from its nearest
-snapshot — the same instructions, thousands of times per cell.
+Every fast-engine campaign runs here, in every runner (sequential, ``-j``,
+``--dist`` and the campaign service); reference-engine campaigns keep the
+from-scratch per-index loop (:func:`repro.campaign.runner.run_experiment`),
+which is also the oracle side of every equivalence check.
 
 Relyzer sorts its fault list by dynamic position; ZOFI forks the original
-process at the injection point.  This module combines both ideas on top of
-the existing machinery:
+process at the injection point.  This module combines both ideas:
 
 1. **Resolve** every experiment's trigger counter up front (a fault plan is
    a pure function of its seed) and sort the batch by ``(trigger, index)``.
@@ -30,17 +28,26 @@ the existing machinery:
    behaviour, and the tool counters are behaviourally inert once the
    single-shot fault has fired.  Outputs, counts, steps and exit code of a
    spliced result are bit-identical to running the tail out natively.
+5. **Golden chain**: those sync states are the only resume mechanism.  A
+   scheduler runs the full, validated cursor once and keeps the chain; a
+   later batch on the same scheduler restores the nearest chain state whose
+   trigger counter is strictly below the batch's first trigger and stops
+   the cursor after the batch's last fork.  Runners keep one scheduler per
+   campaign spec (:class:`RetainedSchedulers`), so a one-experiment lease
+   costs one chain interval of prefix plus its tail, not a golden run.
 
 Bit-identity bar: every :class:`~repro.campaign.results.ExperimentRecord`
 field except ``snapshot_hit`` (a fast-path provenance flag) matches the
-index-ordered schedule exactly; ``total_cycles`` matches to float
-summation order (same bar as the parallel runner).
+from-scratch per-index run on the reference engine; ``total_cycles``
+matches to float summation order (same bar as the parallel runner).
 """
 
 from __future__ import annotations
 
 import struct
 import time
+from bisect import bisect_left
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.campaign.classify import classify
@@ -48,7 +55,6 @@ from repro.campaign.results import ExperimentRecord
 from repro.errors import CampaignError
 from repro.fi.tools import TIMEOUT_FACTOR, FITool
 from repro.machine.cpu import ExecutionResult
-from repro.snapshot.engine import GOLDEN_BUDGET, resolve_interval
 from repro.snapshot.state import (
     PAGE_SIZE,
     CpuSnapshot,
@@ -58,8 +64,16 @@ from repro.snapshot.state import (
 )
 from repro.utils.rng import derive_seed
 
-#: Valid ``--schedule`` values (index = historical order, trigger = sorted).
-SCHEDULES = ("index", "trigger")
+#: Budget of the golden cursor (matches the profiling run's budget).
+GOLDEN_BUDGET = 200_000_000
+
+#: Golden-chain density: one sync state roughly every 1/128th of the golden
+#: run, floored so tiny workloads don't drown in states.
+CHAIN_DENSITY = 128
+MIN_CHAIN_INTERVAL = 256
+
+#: Schedulers a process keeps alive (one per campaign spec, LRU).
+RETAINED_SCHEDULERS = 8
 
 #: Rejoin-check thinning: check the first few sync points after the fork
 #: densely (most convergent runs re-join within one interval), then back
@@ -103,7 +117,7 @@ class PhaseTimes:
 
 @dataclass
 class SchedulerStats:
-    """Counters behind the ``scheduler_stats`` telemetry event."""
+    """Counters behind the ``scheduler_stats`` telemetry event (one batch)."""
 
     experiments: int = 0
     #: forks captured along the cursor / tails served from one
@@ -113,7 +127,7 @@ class SchedulerStats:
     scratch: int = 0
     #: tails spliced onto the golden suffix after provable re-convergence
     rejoins: int = 0
-    #: full-state reference snapshots recorded along the cursor
+    #: golden-chain states recorded by this batch's cursor
     sync_states: int = 0
     cursor_steps: int = 0
     #: golden-prefix instructions not re-executed thanks to forks
@@ -142,11 +156,15 @@ class SchedulerStats:
                 setattr(self, key, getattr(self, key) + val)
 
 
-def validate_schedule(schedule: str) -> None:
-    if schedule not in SCHEDULES:
-        raise CampaignError(
-            f"unknown schedule {schedule!r}; choose from {SCHEDULES}"
-        )
+def uses_scheduler(tool: FITool) -> bool:
+    """Whether ``tool``'s campaigns run trigger-ordered along a golden
+    cursor (the fast engine) rather than from scratch per index."""
+    return hasattr(tool.engine, "run_cursor")
+
+
+def chain_interval(golden_steps: int) -> int:
+    """Steps between two golden-chain states of a run this long."""
+    return max(MIN_CHAIN_INTERVAL, golden_steps // CHAIN_DENSITY)
 
 
 def resolve_trigger_order(
@@ -172,12 +190,15 @@ def _pack_fregs(fregs) -> bytes:
 
 
 class TriggerScheduler:
-    """Run a batch of experiments in trigger order along one golden cursor.
+    """Run batches of experiments in trigger order along one golden cursor.
 
-    One instance serves one (tool, batch); :meth:`run_batch` yields
-    :class:`ExperimentRecord` objects in trigger order.  Requires the fast
-    engine (the cursor's fork stops and the tails' exact-step sync pauses
-    are fast-engine features) and a tool with a snapshot trigger counter.
+    :meth:`run_batch` yields :class:`ExperimentRecord` objects in trigger
+    order.  The golden chain recorded by the first batch's cursor is kept
+    for every later batch of the same (tool, spec); forks, tail CPUs and
+    per-batch counters (:attr:`stats`, :attr:`phases`) are not.  Requires
+    the fast engine (the cursor's fork stops and the tails' exact-step sync
+    pauses are fast-engine features) and a tool with a snapshot trigger
+    counter.  One scheduler serves one thread at a time.
     """
 
     def __init__(self, tool: FITool, events=None) -> None:
@@ -187,9 +208,9 @@ class TriggerScheduler:
                 f"{tool.name} does not define a snapshot trigger counter; "
                 "the trigger schedule cannot pre-resolve its injection points"
             )
-        if not hasattr(tool.engine, "run_cursor"):
+        if not uses_scheduler(tool):
             raise CampaignError(
-                f"--schedule trigger requires the fast engine "
+                f"trigger-ordered campaigns require the fast engine "
                 f"(tool is running on {tool.engine.name!r})"
             )
         self.tool = tool
@@ -197,15 +218,21 @@ class TriggerScheduler:
         self.counter = counter
         self.stats = SchedulerStats()
         self.phases = PhaseTimes()
-        self._forks: dict[int, CpuSnapshot] = {}
-        self._fork_users: dict[int, int] = {}
+        #: golden chain: sync states in step order, their trigger counters,
+        #: the same states by step count (rejoin references), and the
+        #: golden run's steps/counts/exit code — kept across batches
+        self._chain: list[CpuSnapshot] = []
+        self._chain_counters: list[int] = []
         self._sync_states: dict[int, CpuSnapshot] = {}
+        self._g_steps: int | None = None
+        self._forks: dict[int, CpuSnapshot] = {}
         self._triggers: list[int] = []
         self._pend_i = 0
         self._prev_capture: CpuSnapshot | None = None
         self._hook_s = 0.0
-        #: one pooled CPU serves every tail (restore is in-place, so the
-        #: fast engine's instantiated blocks survive across experiments)
+        #: one pooled CPU serves every tail of a batch (restore is
+        #: in-place, so the fast engine's instantiated blocks survive
+        #: across experiments); released at batch end
         self._tail_cpu = None
         self._mem_template: bytes | None = None
         #: plan of the tail currently resuming (rejoin gates on its window)
@@ -236,57 +263,89 @@ class TriggerScheduler:
         return triggers[i] if i < len(triggers) else None
 
     def _sync_hook(self, cpu, pc: int) -> None:
-        """Record the golden reference state at an interval multiple."""
+        """Record one golden-chain state at an interval multiple."""
         t0 = time.perf_counter()
         snap = capture_snapshot(cpu, pc, prev=self._prev_capture,
                                 base=self._base)
         self._prev_capture = snap
+        self._chain.append(snap)
+        self._chain_counters.append(snap.counter(self.counter))
         self._sync_states[snap.steps] = snap
         self.stats.sync_states += 1
         self._hook_s += time.perf_counter() - t0
 
     def _run_cursor(self) -> None:
         tool = self.tool
-        profile = tool.profile
-        self._base = base_pages(tool.program)
-        self._interval = resolve_interval(0, profile.steps)
-        syncs = list(range(self._interval, profile.steps, self._interval))
-
+        first = self._triggers[0]
+        self._hook_s = 0.0
         t0 = time.perf_counter()
         cpu = tool._make_cpu(None)
+        if self._g_steps is None:
+            self._record_golden(cpu, first)
+            start = 0
+        else:
+            # Resume from the nearest chain state strictly below the first
+            # trigger (injection fires when the counter *reaches* the
+            # trigger, so a state at the trigger would already be past it).
+            i = bisect_left(self._chain_counters, first)
+            resume = self._chain[i - 1] if i else None
+            pc = None
+            if resume is not None:
+                restore_snapshot(cpu, resume)
+                pc = resume.pc
+            self._prev_capture = resume
+            start = cpu.steps
+            tool.engine.run_cursor(
+                cpu, budget=GOLDEN_BUDGET, counter=self.counter,
+                first_stop=first, fork_hook=self._fork_hook,
+                pc=pc, until_forked=True,
+            )
+        self.stats.cursor_steps = cpu.steps - start
+        # Break the CPU <-> instantiated-block cycle now rather than leave
+        # the closures (and the CPU's memory) to the cycle collector.
+        cpu._fast_ctx = None
+        wall = time.perf_counter() - t0
+        self.phases.fork_s += self._hook_s
+        self.phases.prefix_s += wall - self._hook_s
+        self._prev_capture = None  # release the capture chain head
+
+    def _record_golden(self, cpu, first: int) -> None:
+        """Run the full golden cursor once, recording the chain, and check
+        it against the profiling run."""
+        tool = self.tool
+        profile = tool.profile
+        self._base = base_pages(tool.program)
+        self._interval = chain_interval(profile.steps)
+        self._chain, self._chain_counters, self._sync_states = [], [], {}
         result = tool.engine.run_cursor(
             cpu,
             budget=GOLDEN_BUDGET,
             counter=self.counter,
-            first_stop=self._triggers[0] if self._triggers else None,
+            first_stop=first,
             fork_hook=self._fork_hook,
-            syncs=syncs,
+            syncs=list(range(self._interval, profile.steps, self._interval)),
             sync_hook=self._sync_hook,
         )
-        wall = time.perf_counter() - t0
-        self.phases.fork_s += self._hook_s
-        self.phases.prefix_s += wall - self._hook_s
-
+        problem = None
         if result.trap is not None or result.exit_status != 0:
-            raise CampaignError(
-                f"{tool.name}: golden cursor run of {tool.workload!r} failed "
-                f"(trap={result.trap}, exit={result.exit_code})"
+            problem = (
+                f"failed (trap={result.trap}, exit={result.exit_code})"
             )
-        if tuple(result.output) != profile.golden_output:
-            raise CampaignError(
-                f"{tool.name}: golden cursor run of {tool.workload!r} "
+        elif tuple(result.output) != profile.golden_output:
+            problem = (
                 "diverged from the profiling run — nondeterministic workload?"
             )
-        if result.steps != profile.steps:
+        elif result.steps != profile.steps:
+            problem = f"ran {result.steps} steps, profile says {profile.steps}"
+        if problem is not None:
+            self._chain, self._chain_counters, self._sync_states = [], [], {}
             raise CampaignError(
-                f"{tool.name}: golden cursor of {tool.workload!r} ran "
-                f"{result.steps} steps, profile says {profile.steps}"
+                f"{tool.name}: golden cursor run of {tool.workload!r} "
+                f"{problem}"
             )
-        self.stats.cursor_steps = result.steps
         self._g_steps = result.steps
         self._g_counts = result.counts
         self._g_exit = result.exit_code
-        self._prev_capture = None  # release the capture chain head
 
     # -- golden rejoin ------------------------------------------------------
 
@@ -462,13 +521,18 @@ class TriggerScheduler:
     def run_batch(self, base_seed: int, indices):
         """Yield one :class:`ExperimentRecord` per index, in trigger order.
 
-        The first yield happens only after the whole golden cursor has run
-        (forks for every trigger must exist before any tail does), so a
-        consumer checkpointing between yields loses at most the cursor on
+        Resets :attr:`stats` and :attr:`phases` to this batch's counters
+        before returning the record iterator.  The first yield happens only
+        after the cursor has forked for every trigger, so a consumer
+        checkpointing between yields loses at most the cursor on
         interruption — never a completed experiment.
         """
+        self.stats = SchedulerStats()
+        self.phases = PhaseTimes()
+        return self._batch(base_seed, list(indices))
+
+    def _batch(self, base_seed: int, indices: list[int]):
         tool = self.tool
-        indices = list(indices)
         if not indices:
             return
         t0 = time.perf_counter()
@@ -478,30 +542,61 @@ class TriggerScheduler:
 
         self._triggers = sorted({trigger for trigger, _ in ordered})
         self._pend_i = 0
-        self._forks.clear()
-        self._sync_states.clear()
         users: dict[int, int] = {}
         for trigger, _ in ordered:
             users[trigger] = users.get(trigger, 0) + 1
+        try:
+            self._run_cursor()
+            self._emit_stats()
+            for trigger, index in ordered:
+                seed = derive_seed(base_seed, tool.workload, tool.name, index)
+                yield self._run_tail(trigger, index, seed)
+                users[trigger] -= 1
+                if not users[trigger]:
+                    # Every experiment at this trigger is done; release the
+                    # fork (page bytes shared with the chain survive).
+                    self._forks.pop(trigger, None)
+            self._emit_stats()
+        finally:
+            self._release()
 
-        self._run_cursor()
+    def _emit_stats(self) -> None:
         if self.events is not None:
             self.events.emit(
-                "scheduler_stats", workload=tool.workload, tool=tool.name,
-                **self.stats.as_dict(),
+                "scheduler_stats", workload=self.tool.workload,
+                tool=self.tool.name, **self.stats.as_dict(),
             )
 
-        for trigger, index in ordered:
-            seed = derive_seed(base_seed, tool.workload, tool.name, index)
-            yield self._run_tail(trigger, index, seed)
-            users[trigger] -= 1
-            if not users[trigger]:
-                # Every experiment at this trigger is done; release the
-                # fork (page bytes shared with later snapshots survive).
-                self._forks.pop(trigger, None)
+    def _release(self) -> None:
+        """Drop everything but the golden chain between batches."""
+        self._forks.clear()
+        self._prev_capture = None
+        self._tail_plan = None
+        if self._tail_cpu is not None:
+            self._tail_cpu._fast_ctx = None
+            self._tail_cpu = None
+            self._mem_template = None
 
-        if self.events is not None:
-            self.events.emit(
-                "scheduler_stats", workload=tool.workload, tool=tool.name,
-                **self.stats.as_dict(),
-            )
+
+class RetainedSchedulers:
+    """LRU of ``(tool, scheduler)`` pairs, one per campaign spec.
+
+    Workers and ``-j`` pool processes serve many batches of the same
+    campaign; keeping the scheduler keeps its golden chain, so only the
+    first batch runs the full cursor.  Each worker (thread) and each pool
+    process owns its own instance.
+    """
+
+    def __init__(self, capacity: int = RETAINED_SCHEDULERS) -> None:
+        self.capacity = capacity
+        self._lru: OrderedDict = OrderedDict()
+
+    def get(self, key, build):
+        """The retained entry for ``key``, built by ``build()`` if absent."""
+        entry = self._lru.pop(key, None)
+        if entry is None:
+            entry = build()
+        self._lru[key] = entry
+        while len(self._lru) > self.capacity:
+            self._lru.popitem(last=False)
+        return entry

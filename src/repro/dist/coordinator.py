@@ -56,8 +56,8 @@ from repro.campaign.results import CampaignResult
 from repro.campaign.runner import matrix_checkpoint_path
 from repro.campaign.schedule import (
     PhaseTimes,
-    TriggerScheduler,
     resolve_trigger_order,
+    uses_scheduler,
 )
 from repro.dist.protocol import (
     PROTOCOL_VERSION,
@@ -108,22 +108,12 @@ def trigger_order_indices(
     triggers are pure functions of the seeds) so that contiguous shards of
     the returned list are **contiguous trigger ranges**: each leased task
     hands its worker one compact window of the golden run to sweep with a
-    single cursor.  Also the fail-fast check that the spec's tool/engine
-    combination supports trigger scheduling — raising here beats a pickled
-    worker traceback after the first lease.
+    single cursor.  Reference-engine cells run from scratch per index, so
+    their order is left alone.
     """
-    from repro.fi.config import FIConfig
-    from repro.fi.tools import TOOL_CLASSES
-
-    config = FIConfig(
-        enabled=spec.fi_enabled, funcs=spec.fi_funcs, instrs=spec.fi_instrs
-    )
-    tool = TOOL_CLASSES[spec.tool_name](
-        spec.source, spec.workload, config=config, opt_level=spec.opt_level,
-        opcode_faults=spec.opcode_faults, engine=spec.engine,
-        fault_model=spec.fault_model,
-    )
-    TriggerScheduler(tool)
+    tool = spec.slice_task(()).make_tool()
+    if not uses_scheduler(tool):
+        return remaining
     return [
         i for _, i in resolve_trigger_order(tool, spec.base_seed, remaining)
     ]
@@ -547,9 +537,16 @@ class Coordinator:
             cell.prior = ckpt.partial
             cell.prior_indices = tuple(sorted(cell.completed))
         remaining = [i for i in range(spec.n) if i not in cell.completed]
-        if spec.schedule == "trigger" and remaining:
+        if len(remaining) > self._task_size(spec):
+            # Only multi-experiment tasks have a trigger range to keep
+            # compact; one-experiment leases skip the coordinator compile.
             remaining = trigger_order_indices(spec, remaining)
         return cell, remaining
+
+    def _task_size(self, spec: CampaignSpec) -> int:
+        return self._chunk_size or max(
+            1, -(-spec.n // DEFAULT_TASKS_PER_CAMPAIGN)
+        )
 
     def _install_cell(self, cell: _Cell, remaining: list[int]) -> None:
         """Register a prepared cell and shard its tasks (lock held, or
@@ -559,10 +556,7 @@ class Coordinator:
             raise DistError(f"cell {spec.key} already being served")
         self._cells[spec.key] = cell
         self._total += spec.n
-        size = self._chunk_size or max(
-            1, -(-spec.n // DEFAULT_TASKS_PER_CAMPAIGN)
-        )
-        for indices in shard_indices(remaining, size):
+        for indices in shard_indices(remaining, self._task_size(spec)):
             task = _Task(
                 task_id=self._next_task, key=spec.key, indices=indices
             )
@@ -1013,7 +1007,7 @@ class Coordinator:
             total_steps=cell.result.total_steps,
             total_candidates=cell.result.total_candidates,
             golden_output=list(cell.result.golden_output),
-            schedule=spec.schedule,
+            schedule="trigger" if cell.scheduler_totals else "index",
             fault_model=spec.fault_model,
             phases=cell.phases.as_dict(),
             **(

@@ -66,11 +66,10 @@ from __future__ import annotations
 import json
 import socket
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import InitVar, dataclass, fields
 
 from repro.campaign.parallel import SliceTask
 from repro.campaign.runner import DEFAULT_SEED
-from repro.campaign.schedule import SCHEDULES
 from repro.errors import DistConnectionError, DistError
 from repro.fi.config import INSTR_CLASSES
 from repro.fi.tools import TOOL_CLASSES
@@ -189,30 +188,20 @@ class CampaignSpec:
     fi_funcs: str = "*"
     fi_instrs: str = "all"
     opcode_faults: float = 0.0
-    #: snapshot fast path on the workers: ``None`` = off, ``0`` = auto
-    #: interval, ``N`` = every N dynamic instructions.  The store location
-    #: is worker-local (each host passes its own ``--snapshot-dir``).
-    snapshot_interval: int | None = None
     #: execution engine the workers run on (``None`` = worker default)
     engine: str | None = None
-    #: experiment visiting order: ``index`` (historical) or ``trigger``
-    #: (tasks are contiguous trigger ranges; see
-    #: :mod:`repro.campaign.schedule`).  Absent in messages from older
-    #: coordinators, defaulting to ``index``.
-    schedule: str = "index"
     #: canonical fault-model spec (:mod:`repro.fi.models`); absent in
     #: messages from older coordinators, defaulting to the paper's model.
     fault_model: str = "single-bit"
+    #: retired knobs (every fast-engine campaign is trigger-ordered and
+    #: resumes from the golden chain): accepted so legacy specs still
+    #: construct, then ignored — they are neither stored nor sent
+    schedule: InitVar[str | None] = None
+    snapshot_interval: InitVar[int | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, schedule=None, snapshot_interval=None) -> None:
         if self.n <= 0:
             raise DistError("campaign spec needs n >= 1 experiments")
-        if self.schedule not in SCHEDULES:
-            raise DistError(
-                f"unknown schedule {self.schedule!r}; choose from {SCHEDULES}"
-            )
-        if self.snapshot_interval is not None and self.snapshot_interval < 0:
-            raise DistError("snapshot_interval must be >= 0 (0 = auto)")
         if self.engine is not None:
             from repro.engine import ENGINE_NAMES
 
@@ -260,10 +249,7 @@ class CampaignSpec:
             raise DistError(f"malformed campaign spec: {exc}") from exc
 
     def slice_task(
-        self,
-        indices: tuple[int, ...],
-        chunk: int = 0,
-        snapshot_dir: str | None = None,
+        self, indices: tuple[int, ...], chunk: int = 0
     ) -> SliceTask:
         """The :class:`SliceTask` that runs ``indices`` of this campaign
         through the shared slice machinery."""
@@ -280,9 +266,6 @@ class CampaignSpec:
             keep_records=self.keep_records,
             opcode_faults=self.opcode_faults,
             chunk=chunk,
-            snapshot_interval=self.snapshot_interval,
-            snapshot_dir=snapshot_dir,
             engine=self.engine,
-            schedule=self.schedule,
             fault_model=self.fault_model,
         )

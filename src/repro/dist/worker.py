@@ -1,13 +1,15 @@
 """Campaign worker: lease tasks, run them, stream results back.
 
 A worker is stateless and disposable — it holds no campaign state beyond
-the task it is currently running, caches compiled tools per campaign spec
-(so consecutive slices of the same cell skip recompilation), and can be
-killed at any moment without corrupting the campaign: the coordinator's
-lease timeout requeues whatever it was holding.
+the task it is currently running, retains one compiled tool and trigger
+scheduler per campaign spec (so consecutive leases of the same cell skip
+recompilation and resume from the golden chain instead of re-running the
+golden cursor), and can be killed at any moment without corrupting the
+campaign: the coordinator's lease timeout requeues whatever it was
+holding.
 
 Slices execute through the exact machinery the single-host runners use
-(:func:`repro.campaign.runner.run_experiment` /
+(:func:`repro.campaign.parallel.run_part` /
 :func:`repro.campaign.parallel.run_slice`), so a distributed campaign is
 bit-identical to a sequential one.  With ``procs > 1`` a worker fans each
 leased task out over a local process pool — the cluster topology the paper
@@ -26,18 +28,20 @@ from concurrent.futures import (
     TimeoutError as FutureTimeout,
     wait as futures_wait,
 )
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.campaign.io import merge_results
-from repro.campaign.parallel import run_slice
+from repro.campaign.parallel import (
+    init_pool_process,
+    run_part,
+    run_slice,
+    runner_for,
+)
 from repro.campaign.results import CampaignResult
-from repro.campaign.runner import _fresh_result, run_experiment
-from repro.campaign.schedule import PhaseTimes, TriggerScheduler
+from repro.campaign.schedule import PhaseTimes, RetainedSchedulers
 from repro.dist.client import CoordinatorClient
 from repro.dist.protocol import CampaignSpec, decode_indices
 from repro.errors import DistConnectionError, DistError
-from repro.fi.config import FIConfig
-from repro.fi.tools import FITool, TOOL_CLASSES
 
 
 #: Upper bound on one idle-poll sleep, whatever delay the coordinator
@@ -64,12 +68,15 @@ class Worker:
     connection while holding its ``k+1``-th lease, simulating a crash.
 
     ``reconnect_window=W`` (seconds of *continuous* coordinator downtime
-    tolerated) makes the worker survive coordinator bounces: on a refused
-    connection or a torn socket it retries with capped exponential backoff
-    plus jitter, giving up only after the coordinator has been unreachable
-    for W straight seconds.  ``0`` (the library default) keeps the
-    historical die-on-first-failure behaviour; the ``refine-worker`` CLI
-    defaults it on, so a fleet rides out service restarts.
+    tolerated) makes the worker survive coordinator bounces: once it has
+    completed one handshake, a refused connection or a torn socket is
+    retried with capped exponential backoff plus jitter, giving up only
+    after the coordinator has been unreachable for W straight seconds.  A
+    worker that never reached its coordinator fails at once — a wrong
+    address is a misconfiguration, not an outage.  ``0`` (the library
+    default) keeps the historical die-on-first-failure behaviour; the
+    ``refine-worker`` CLI defaults it on, so a fleet rides out service
+    restarts.
     """
 
     def __init__(
@@ -80,8 +87,6 @@ class Worker:
         procs: int = 1,
         name: str | None = None,
         die_after: int | None = None,
-        snapshot_dir: str | None = None,
-        use_snapshots: bool = True,
         reconnect_window: float = 0.0,
         reconnect_base: float = 0.5,
         reconnect_cap: float = 15.0,
@@ -94,13 +99,8 @@ class Worker:
         self._reconnect_window = reconnect_window
         self._reconnect_base = reconnect_base
         self._reconnect_cap = reconnect_cap
-        #: where golden-run snapshots live on *this* host (specs carry only
-        #: the interval; the store path is a per-worker concern).  ``None``
-        #: keeps snapshots in-memory per tool; ``use_snapshots=False``
-        #: ignores the spec's snapshot request entirely.
-        self._snapshot_dir = snapshot_dir
-        self._use_snapshots = use_snapshots
-        self._tools: dict[CampaignSpec, FITool] = {}
+        #: one (tool, scheduler) per campaign spec, golden chain included
+        self._runners = RetainedSchedulers()
         self._pool: ProcessPoolExecutor | None = None
 
     def run(self) -> WorkerStats:
@@ -110,8 +110,8 @@ class Worker:
         rejects the worker (campaigns surviving *worker* loss is the
         coordinator's job; a worker losing its coordinator just stops) —
         unless a ``reconnect_window`` is set, in which case connection loss
-        triggers backoff-and-retry until the window of continuous downtime
-        is exhausted.
+        after the first successful handshake triggers backoff-and-retry
+        until the window of continuous downtime is exhausted.
         """
         stats = WorkerStats(name="")
         runner: ThreadPoolExecutor | None = None
@@ -122,6 +122,8 @@ class Worker:
                 try:
                     self._client.connect()
                 except DistConnectionError as exc:
+                    if not stats.name:
+                        raise  # never reached the coordinator: fail fast
                     down_since, attempt = self._backoff_or_raise(
                         exc, down_since, attempt
                     )
@@ -254,76 +256,40 @@ class Worker:
     ) -> CampaignResult:
         if self._procs > 1 and len(indices) > 1:
             return self._run_task_pooled(spec, indices)
-        tool = self._tool_for(spec)
-        result = _fresh_result(tool, len(indices))
-        # Records are always collected: the coordinator emits per-experiment
-        # telemetry (and feeds write-through result sinks) from them, then
-        # strips them when the campaign did not ask for keep_records.
-        if spec.schedule == "trigger":
-            # The lease is a contiguous trigger range: sweep it with one
-            # golden cursor.  Phase/scheduler breakdowns travel back on the
-            # part (see repro.campaign.io) for coordinator-side telemetry.
-            sched = TriggerScheduler(tool)
-            for rec in sched.run_batch(spec.base_seed, indices):
-                result.add(rec, keep_record=True)
-            result.phase_times = sched.phases.as_dict()
-            result.scheduler_stats = sched.stats.as_dict()
-        else:
-            for i in indices:
-                result.add(
-                    run_experiment(tool, spec.base_seed, i), keep_record=True
-                )
-        return result
+        # The retained scheduler resumes this lease from its golden chain;
+        # its stats and phases are this lease's alone.
+        tool, scheduler = self._runners.get(
+            spec, lambda: runner_for(spec.slice_task(()).make_tool())
+        )
+        return run_part(tool, spec.base_seed, indices, scheduler)
 
     def _run_task_pooled(
         self, spec: CampaignSpec, indices: tuple[int, ...]
     ) -> CampaignResult:
         """Split one task across the local process pool (``-j N``)."""
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self._procs)
+            self._pool = ProcessPoolExecutor(
+                max_workers=self._procs, initializer=init_pool_process
+            )
         step = max(1, -(-len(indices) // self._procs))
         slices = [
             indices[lo:lo + step] for lo in range(0, len(indices), step)
         ]
         tasks = [
-            spec.slice_task(sub, chunk=ci, snapshot_dir=self._snapshot_dir)
-            for ci, sub in enumerate(slices)
+            spec.slice_task(sub, chunk=ci) for ci, sub in enumerate(slices)
         ]
-        if not self._use_snapshots:
-            tasks = [replace(t, snapshot_interval=None) for t in tasks]
         futures = [self._pool.submit(run_slice, t) for t in tasks]
         futures_wait(futures, return_when=FIRST_EXCEPTION)
         parts = [f.result() for f in futures]  # re-raises the first failure
         merged = merge_results(parts, indices=slices)
         merged.n = len(indices)
-        if spec.schedule == "trigger":
-            phases = PhaseTimes()
-            totals: dict[str, int] = {}
-            for p in parts:
-                phases.accumulate(getattr(p, "phase_times", None) or {})
-                for key, val in (getattr(p, "scheduler_stats", None) or {}).items():
-                    totals[key] = totals.get(key, 0) + val
-            merged.phase_times = phases.as_dict()
+        phases = PhaseTimes()
+        totals: dict[str, int] = {}
+        for p in parts:
+            phases.accumulate(getattr(p, "phase_times", None) or {})
+            for key, val in (getattr(p, "scheduler_stats", None) or {}).items():
+                totals[key] = totals.get(key, 0) + val
+        merged.phase_times = phases.as_dict()
+        if totals:
             merged.scheduler_stats = totals
         return merged
-
-    def _tool_for(self, spec: CampaignSpec) -> FITool:
-        tool = self._tools.get(spec)
-        if tool is None:
-            config = FIConfig(
-                enabled=spec.fi_enabled, funcs=spec.fi_funcs,
-                instrs=spec.fi_instrs,
-            )
-            tool = TOOL_CLASSES[spec.tool_name](
-                spec.source, spec.workload, config=config,
-                opt_level=spec.opt_level, opcode_faults=spec.opcode_faults,
-                engine=spec.engine, fault_model=spec.fault_model,
-            )
-            if spec.snapshot_interval is not None and self._use_snapshots:
-                tool.enable_snapshots(
-                    interval=spec.snapshot_interval,
-                    store_dir=self._snapshot_dir,
-                    coarse=spec.schedule == "trigger",
-                )
-            self._tools[spec] = tool
-        return tool

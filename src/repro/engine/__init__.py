@@ -1,8 +1,8 @@
 """Pluggable execution engines for the sx64 machine.
 
 Every consumer that used to call ``CPU.run``/``CPU.resume`` directly — the
-campaign runner, the parallel slicer, the distributed worker, the snapshot
-engine, and the differential-testing oracles — now goes through the
+campaign runner, the parallel slicer, the distributed worker, the trigger
+scheduler, and the differential-testing oracles — now goes through the
 :class:`ExecutionEngine` interface, so the execution strategy is a
 per-campaign choice:
 
@@ -41,7 +41,7 @@ class ExecutionEngine:
         raise NotImplementedError
 
     def resume(self, cpu: CPU, pc: int, budget: int | None = None) -> ExecutionResult:
-        """Continue restored architectural state at ``pc`` (snapshot path)."""
+        """Continue restored architectural state at ``pc``."""
         raise NotImplementedError
 
 
@@ -64,9 +64,9 @@ def get_engine(
 
     ``spec=None`` consults the ``REPRO_ENGINE`` environment variable, then
     falls back to :data:`DEFAULT_ENGINE`.  ``cache_dir`` points the fast
-    engine's decoded-translation cache at a persistent directory (the
-    snapshot store's ``decoded/`` subdirectory); without it translations
-    are still cached per process, just not across processes.
+    engine's decoded-translation cache at a persistent directory
+    (``<checkpoint-dir>/decoded`` for checkpointed campaigns); without it
+    translations are still cached per process, just not across processes.
     """
     name = spec or os.environ.get("REPRO_ENGINE") or DEFAULT_ENGINE
     if name == "reference":

@@ -444,23 +444,6 @@ def gen_source(program: LoadedProgram, leaders: list[int], end_of: list[int]) ->
     return "\n".join(out)
 
 
-def gen_suffix_source(program: LoadedProgram, start: int, end: int) -> str:
-    """Generate a single-block factory for a mid-block entry pc."""
-    out = [
-        "# Generated by repro.engine.blocks (suffix) -- do not edit.",
-        "def make_block(cpu, FL):",
-        "    I = cpu.iregs",
-        "    F = cpu.fregs",
-        "    M = cpu.mem",
-        "    def b():",
-    ]
-    for line in gen_block_body(program, start, end):
-        out.append("        " + line)
-    out.append("    return b")
-    out.append("")
-    return "\n".join(out)
-
-
 def exec_namespace() -> dict:
     """The globals generated code runs against."""
     return {

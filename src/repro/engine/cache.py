@@ -7,8 +7,8 @@ so it must happen once per binary per *process*, not once per run — the
 in-process LRU below guarantees that, keyed by a content fingerprint of
 everything that feeds code generation.
 
-When a cache directory is configured (the snapshot store's ``decoded/``
-subdirectory, see ``FITool.enable_snapshots``), the compiled code object is
+When a cache directory is configured (``<checkpoint-dir>/decoded`` for
+campaigns run with a checkpoint directory), the compiled code object is
 also persisted via :mod:`marshal` next to the generated ``.py`` source
 (kept for debuggability), so subsequent processes skip the Python
 compilation too.  Disk entries are keyed by fingerprint *and* the
@@ -31,7 +31,6 @@ from repro.engine.blocks import (
     discover_blocks,
     exec_namespace,
     gen_source,
-    gen_suffix_source,
 )
 from repro.machine.loader import LoadedProgram
 
@@ -82,7 +81,6 @@ class Translation:
         ns = exec_namespace()
         exec(self.code, ns)
         self._factory = ns["make_blocks"]
-        self._suffix_factories: dict[int, object] = {}
 
     def _register_meta(self, start: int, end: int) -> None:
         meta = block_meta(self.program, start, end)
@@ -96,26 +94,15 @@ class Translation:
         """Bind the translated blocks to one CPU's register/memory objects."""
         return self._factory(cpu, FL)
 
-    def add_suffix(self, pc: int, cpu, FL, blocks: dict):
-        """Lazily translate the mid-block suffix starting at ``pc``.
+    def register_entry(self, pc: int) -> None:
+        """Record the static metadata of the mid-block remainder at ``pc``.
 
-        Needed when execution enters a block interior: snapshot resume
-        points and (post-fault) computed return addresses land on arbitrary
-        pcs, not just block leaders.
+        Execution enters block interiors at resume points and (after a
+        fault) at computed return addresses.  No code is generated for
+        them: the trampoline runs its usual budget/sync/trigger checks on
+        this metadata and then steps the remainder on the reference loop.
         """
-        factory = self._suffix_factories.get(pc)
-        if factory is None:
-            end = self.end_of[pc]
-            self._register_meta(pc, end)
-            src = gen_suffix_source(self.program, pc, end)
-            code = compile(src, f"<suffix:{pc}>", "exec")
-            ns = exec_namespace()
-            exec(code, ns)
-            factory = ns["make_block"]
-            self._suffix_factories[pc] = factory
-        fn = factory(cpu, FL)
-        blocks[pc] = fn
-        return fn
+        self._register_meta(pc, self.end_of[pc])
 
 
 class TranslationCache:

@@ -5,22 +5,25 @@ pays for instrumentation where an event can actually occur:
 
 * **budget tails** — when the next block could cross the step budget, the
   remainder of the run is delegated to the reference ``CPU._loop``, so the
-  timeout-vs-snapshot-vs-halt ordering is reference-exact by construction;
+  timeout-vs-halt ordering is reference-exact by construction;
 * **trigger windows** — when an armed REFINE/PINFI plan's counter would
   cross its target inside the next block, the engine drops into the
   reference loop with a small watcher window and exits back to free-run as
   soon as the fault has been applied (the ZOFI insight: the binary runs
   uninstrumented outside a bounded window around the injection point);
-* **golden recording** — runs with an armed snapshot hook are executed
-  entirely by the reference loop (they happen once per binary/tool and the
-  snapshot store amortizes them).
+* **mid-block entries** — resume points and fault-corrupted return
+  addresses can land inside a block.  No code is generated for them: the
+  remainder's static metadata feeds the same budget/sync/trigger checks,
+  then the reference loop steps exactly that remainder.
 
 Everything observable — steps, per-pc counts, trigger counters, traps,
 flags, output — is bit-identical to the reference interpreter: free-run
 accounting is batched per block (a block is a contiguous pc range, so its
 contribution is a static constant) and trap unwinding rewinds the batch to
 the executed prefix.  LLFI needs no arming at all: its injection fires
-inside intrinsic calls, which free-run blocks execute natively.
+inside intrinsic calls, which free-run blocks execute natively.  Snapshot
+recording hooks (:meth:`~repro.machine.cpu.CPU.record_snapshots`) are a
+reference-loop feature; record golden states with :meth:`FastEngine.run_cursor`.
 """
 
 from __future__ import annotations
@@ -174,9 +177,6 @@ class FastEngine:
     ) -> ExecutionResult | None:
         if budget is not None:
             cpu.budget = budget
-        if cpu._snap_every:
-            # Golden recording: full instrumentation, reference loop.
-            return cpu._execute(pc, None)
 
         trans = self.cache.translation_for(cpu.program)
         FL, blocks = self._block_ctx(cpu, trans)
@@ -214,8 +214,8 @@ class FastEngine:
 
         while True:
             fn = blocks_get(pc)
-            if fn is None:
-                fn = trans.add_suffix(pc, cpu, FL, blocks)
+            if fn is None and pc not in lens:
+                trans.register_entry(pc)
             n = lens[pc]
 
             if steps + n >= budget_v and budget_v <= sync_v:
@@ -303,6 +303,25 @@ class FastEngine:
                     sync_v = syncs[sync_i] if sync_i < len(syncs) else _NO_SYNC
                 continue
 
+            if fn is None:
+                # Mid-block entry: no trigger fires and no sync point or
+                # budget lands in the remainder, so the reference loop steps
+                # exactly that remainder with its native accounting.
+                self._flush(cpu, FL, execs, trans, steps, rc, pin)
+                try:
+                    next_pc = self._step_to(cpu, pc, n)
+                except MachineTrap as trap:
+                    return cpu.build_result(trap=trap.kind, trap_pc=trap.pc)
+                if next_pc is None:
+                    return cpu.build_result()
+                pc = next_pc
+                steps = cpu.steps
+                FL[0] = cpu.flags
+                rc = cpu._refine_count
+                pin = cpu._pin_count
+                attached = cpu._attached
+                continue
+
             try:
                 next_pc = fn()
             except MachineTrap as trap:
@@ -335,7 +354,9 @@ class FastEngine:
         fork_hook=None,
         syncs=None,
         sync_hook=None,
-    ) -> ExecutionResult:
+        pc: int | None = None,
+        until_forked: bool = False,
+    ) -> ExecutionResult | None:
         """Free-run a golden (plan-free) CPU with counter-based fork stops.
 
         The trigger-ordered scheduler advances one cursor monotonically
@@ -352,6 +373,11 @@ class FastEngine:
         counts (reference states for golden-rejoin detection); the fork
         check deliberately precedes the sync check so a partial-block
         stride can never cross a pending trigger unforked.
+
+        ``pc`` continues a CPU restored from a golden state instead of
+        starting at the program entry.  With ``until_forked`` the run stops
+        (returning ``None``) as soon as no trigger is pending, instead of
+        finishing the program.
         """
         if budget is not None:
             cpu.budget = budget
@@ -365,7 +391,8 @@ class FastEngine:
         table = getattr(trans, table_name)
         execs: dict[int, int] = {}
 
-        pc = cpu.prepare_entry()
+        if pc is None:
+            pc = cpu.prepare_entry()
         steps = cpu.steps
         rc = cpu._refine_count
         pin = cpu._pin_count
@@ -379,6 +406,8 @@ class FastEngine:
         else:
             cnt = cpu._llfi_count
         stop = first_stop
+        if until_forked and stop is None:
+            return None
 
         if syncs:
             sync_i = bisect_right(syncs, steps)
@@ -390,8 +419,8 @@ class FastEngine:
 
         while True:
             fn = blocks_get(pc)
-            if fn is None:
-                fn = trans.add_suffix(pc, cpu, FL, blocks)
+            if fn is None and pc not in lens:
+                trans.register_entry(pc)
             n = lens[pc]
 
             if steps + n >= budget_v and budget_v <= sync_v:
@@ -411,11 +440,19 @@ class FastEngine:
                     # the block entry, before any stride can cross it.
                     self._flush(cpu, FL, execs, trans, steps, rc, pin)
                     stop = fork_hook(cpu, pc, upto)
+                    if stop is None and until_forked:
+                        return None
 
-            if steps + n >= sync_v:
+            at_sync = steps + n >= sync_v
+            if at_sync or fn is None:
+                # A sync point lands inside this block, or this is a
+                # mid-block entry: step the reference loop to the sync
+                # point or through the remainder.
                 self._flush(cpu, FL, execs, trans, steps, rc, pin)
                 try:
-                    stop_pc = self._step_to(cpu, pc, sync_v - steps)
+                    stop_pc = self._step_to(
+                        cpu, pc, sync_v - steps if at_sync else n
+                    )
                 except MachineTrap as trap:
                     return cpu.build_result(trap=trap.kind, trap_pc=trap.pc)
                 if stop_pc is None:
@@ -428,10 +465,11 @@ class FastEngine:
                 attached = cpu._attached
                 if not live:
                     cnt = rc if counter == "refine_count" else pin
-                if sync_hook is not None:
-                    sync_hook(cpu, pc)
-                sync_i = bisect_right(syncs, steps)
-                sync_v = syncs[sync_i] if sync_i < len(syncs) else _NO_SYNC
+                if at_sync:
+                    if sync_hook is not None:
+                        sync_hook(cpu, pc)
+                    sync_i = bisect_right(syncs, steps)
+                    sync_v = syncs[sync_i] if sync_i < len(syncs) else _NO_SYNC
                 continue
 
             try:

@@ -50,8 +50,8 @@ telemetry and the results database.
 from __future__ import annotations
 
 import struct
-
-import numpy as np
+from bisect import bisect_right
+from itertools import accumulate
 
 from repro.errors import CampaignError
 from repro.machine.cpu import FaultPlan, FaultRecord
@@ -82,7 +82,7 @@ def _set_bit(raw: int, bit: int, value: int) -> int:
     return raw | (1 << bit) if value else raw & ~(1 << bit) & MASK64
 
 
-def residency_weights(tool) -> np.ndarray:
+def residency_weights(tool) -> tuple[float, ...]:
     """Per-dynamic-candidate weights: the cycle cost of each candidate's
     instruction, in trigger order (DAVOS ``SBFI_Profiler`` analogue).
 
@@ -109,9 +109,8 @@ def residency_weights(tool) -> np.ndarray:
             f"profile says {total}"
         )
     cost = tool.program.cost
-    weights = np.asarray([cost[pc] for pc in trace], dtype=np.float64)
     # Zero-cost sites keep an epsilon so every candidate stays reachable.
-    np.maximum(weights, 1e-9, out=weights)
+    weights = tuple(max(float(cost[pc]), 1e-9) for pc in trace)
     tool._residency_weights = weights
     return weights
 
@@ -195,10 +194,11 @@ class FaultModel:
             return 1 + rng.randrange(total)
         cdf = getattr(tool, "_residency_cdf", None)
         if cdf is None:
-            cdf = np.cumsum(residency_weights(tool))
+            # Left-to-right running sums, as a float64 cumsum would give.
+            cdf = list(accumulate(residency_weights(tool)))
             tool._residency_cdf = cdf
-        u = rng.random() * float(cdf[-1])
-        return 1 + min(int(np.searchsorted(cdf, u, side="right")), total - 1)
+        u = rng.random() * cdf[-1]
+        return 1 + min(bisect_right(cdf, u), total - 1)
 
     def _draw(self, tool, rng: SplitMix64, target: int) -> FaultPlan:
         raise NotImplementedError

@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from repro.backend.compiler import CompileOptions, compile_minic
 from repro.backend.binary import Binary
 from repro.engine import ExecutionEngine, get_engine
@@ -77,7 +75,7 @@ class FITool:
 
     #: CpuSnapshot counter a fault trigger is compared against (the dynamic
     #: candidate count the tool's ``target_index`` indexes into); ``None``
-    #: means the tool cannot use the snapshot fast path.
+    #: means the tool cannot run trigger-ordered campaigns.
     _SNAPSHOT_COUNTER: str | None = None
 
     def __init__(
@@ -89,6 +87,7 @@ class FITool:
         opcode_faults: float = 0.0,
         engine: str | None = None,
         fault_model: FaultModel | str | None = None,
+        cache_dir: str | None = None,
     ) -> None:
         self.source = source
         self.workload = workload
@@ -97,7 +96,9 @@ class FITool:
         #: engine name (``None`` = REPRO_ENGINE env var, then the default)
         self.engine_spec = engine
         self._engine: ExecutionEngine | None = None
-        self._engine_cache_dir: str | None = None
+        #: persistent decoded-translation cache for the fast engine
+        #: (``None`` = in-process LRU only)
+        self._engine_cache_dir = cache_dir
         if not 0.0 <= opcode_faults <= 1.0:
             raise CampaignError("opcode_faults must be a probability")
         if opcode_faults and not self.supports_opcode_faults:
@@ -112,7 +113,6 @@ class FITool:
         #: None (single-bit default).  Validated against the tool's level.
         self.fault_model = resolve_fault_model(fault_model)
         self.fault_model.check_tool(self)
-        self._snapshot_engine = None
 
     # -- compilation (tool-specific) -----------------------------------------
 
@@ -131,11 +131,8 @@ class FITool:
 
     @property
     def engine(self) -> ExecutionEngine:
-        """The :class:`~repro.engine.ExecutionEngine` this tool runs on.
-
-        Resolved lazily so :meth:`enable_snapshots` can point the fast
-        engine's decoded-translation cache at the snapshot store first.
-        """
+        """The :class:`~repro.engine.ExecutionEngine` this tool runs on
+        (resolved lazily, on first use)."""
         if self._engine is None:
             self._engine = get_engine(
                 self.engine_spec, cache_dir=self._engine_cache_dir
@@ -149,12 +146,7 @@ class FITool:
         raise NotImplementedError
 
     def _cycles(self, cpu: CPU, result: ExecutionResult) -> float:
-        base = float(np.dot(result.counts, self._cost_array))
-        return base
-
-    @cached_property
-    def _cost_array(self) -> np.ndarray:
-        return np.asarray(self.program.cost, dtype=np.float64)
+        return _dot(result.counts, self.program.cost)
 
     @cached_property
     def profile(self) -> ProfileResult:
@@ -188,17 +180,10 @@ class FITool:
         return self.fault_model.plan_from_seed(self, seed)
 
     def inject(self, seed: int) -> InjectionRun:
-        """Run one experiment with a single bit flip drawn from ``seed``.
-
-        Routes through the snapshot fast path when one is enabled (see
-        :meth:`enable_snapshots`); results are bit-identical either way.
-        """
-        if self._snapshot_engine is not None:
-            return self._snapshot_engine.inject(seed)
-        return self._inject_from_scratch(self.plan_from_seed(seed))
-
-    def _inject_from_scratch(self, plan: FaultPlan) -> InjectionRun:
-        """Reference path: execute the whole program from instruction 0."""
+        """Run one experiment with a single bit flip drawn from ``seed``,
+        executing the whole program from instruction 0 (the reference
+        path every campaign runner is checked against)."""
+        plan = self.plan_from_seed(seed)
         cpu = self._make_cpu(plan)
         budget = self.profile.steps * TIMEOUT_FACTOR
         result = self.engine.run(cpu, budget=budget)
@@ -207,50 +192,6 @@ class FITool:
             cycles=self._cycles(cpu, result),
             target_index=plan.target_index,
         )
-
-    # -- snapshot fast path --------------------------------------------------
-
-    @property
-    def snapshots(self):
-        """The attached :class:`repro.snapshot.SnapshotEngine`, if any."""
-        return self._snapshot_engine
-
-    def enable_snapshots(
-        self, interval: int = 0, store_dir=None, events=None,
-        coarse: bool = False,
-    ):
-        """Attach a snapshot engine so ``inject`` resumes from golden-run
-        checkpoints instead of re-executing the fault-free prefix.
-
-        ``interval`` is in dynamic instructions (0 = auto-tune to the
-        workload length); ``store_dir`` enables the shared on-disk
-        :class:`repro.snapshot.SnapshotStore` so parallel processes and
-        dist workers reuse one golden run per binary.  ``coarse`` widens
-        the auto interval for trigger-ordered campaigns, where the
-        scheduler's in-memory forks make dense checkpoints redundant.
-        """
-        # Imported lazily: repro.snapshot imports this module.
-        import os
-
-        from repro.snapshot import SnapshotEngine, SnapshotStore
-
-        store = SnapshotStore(store_dir) if store_dir is not None else None
-        if store_dir is not None:
-            # Persist decoded translations next to the snapshots so other
-            # processes skip block translation for this binary too.
-            self._engine_cache_dir = os.path.join(
-                str(store_dir), "decoded"
-            )
-            self._engine = None  # re-resolve with the cache directory
-        self._snapshot_engine = SnapshotEngine(
-            self, interval=interval, store=store, events=events,
-            coarse=coarse,
-        )
-        return self._snapshot_engine
-
-    def disable_snapshots(self) -> None:
-        """Detach the snapshot engine; ``inject`` reverts to from-scratch."""
-        self._snapshot_engine = None
 
 
 class RefineTool(FITool):
@@ -350,22 +291,29 @@ class PinfiTool(FITool):
         return cpu.pinfi_dynamic_count
 
     def _cycles(self, cpu: CPU, result: ExecutionResult) -> float:
-        costs = self._cost_array
+        costs = self.program.cost
         attached = result.counts_attached
         detached = result.counts
         if attached is None:
             raise CampaignError("PINFI run without attached counts")
-        attached_cycles = float(np.dot(attached, costs))
+        attached_cycles = _dot(attached, costs)
         if attached is detached:
             detached_cycles = 0.0
         else:
-            detached_cycles = float(np.dot(detached, costs))
+            detached_cycles = _dot(detached, costs)
         return (
             PIN_ATTACH_COST
             + PIN_DBI_FACTOR * attached_cycles
             + PIN_CALLBACK_COST * result.attached_candidates
             + detached_cycles
         )
+
+
+def _dot(counts, costs) -> float:
+    """Cycle total of per-pc execution counts.  Costs are multiples of 0.5
+    and counts are ints, so every partial sum is exact below 2**53 and the
+    summation order cannot change the result."""
+    return float(sum(c * w for c, w in zip(counts, costs) if c))
 
 
 class _FilteredProgramView:

@@ -32,11 +32,12 @@ from repro.dist.protocol import CampaignSpec
 from repro.errors import DistError, ServiceError, WorkloadError
 from repro.workloads import workload_sources
 
-#: Request keys copied verbatim onto every populated CampaignSpec.
+#: Request keys copied verbatim onto every populated CampaignSpec (rows
+#: queued with the retired ``schedule``/``snapshot_interval`` keys still
+#: load; those keys are ignored).
 _SPEC_KEYS = (
     "keep_records", "opt_level", "fi_enabled", "fi_funcs", "fi_instrs",
-    "opcode_faults", "snapshot_interval", "engine", "schedule",
-    "fault_model",
+    "opcode_faults", "engine", "fault_model",
 )
 
 

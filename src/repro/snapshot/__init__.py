@@ -1,24 +1,13 @@
-"""Snapshot execution engine (golden-run checkpointing).
+"""Copy-on-write CPU snapshots.
 
-One fault-free *golden run* per (workload, tool, binary) records a
-:class:`CpuSnapshot` every K dynamic instructions; each fault run then
-restores the nearest snapshot strictly below its injection trigger and
-executes only the remainder — O(interval + tail) instead of O(program) —
-while staying bit-identical to the from-scratch path.  Chains persist in a
-:class:`SnapshotStore` keyed by binary fingerprint so parallel runner
-processes and distributed workers share a single golden run.
-
-Enable per tool with :meth:`repro.fi.tools.FITool.enable_snapshots`, or
-campaign-wide with ``--snapshot-interval`` on the CLI.
+A :class:`CpuSnapshot` freezes the full architectural state of one
+execution context at an instruction boundary, storing memory as page
+deltas shared between consecutive snapshots of the same run.  The
+trigger-ordered scheduler (:mod:`repro.campaign.schedule`) captures its
+forks and its golden chain with :func:`capture_snapshot` and revives them
+with :func:`restore_snapshot`.
 """
 
-from repro.snapshot.engine import (
-    AUTO_SNAPSHOT_DENSITY,
-    MIN_AUTO_INTERVAL,
-    SnapshotEngine,
-    SnapshotStats,
-    resolve_interval,
-)
 from repro.snapshot.state import (
     PAGE_SIZE,
     CpuSnapshot,
@@ -27,25 +16,12 @@ from repro.snapshot.state import (
     cpu_state_digest,
     restore_snapshot,
 )
-from repro.snapshot.store import (
-    STORE_FORMAT_VERSION,
-    SnapshotStore,
-    program_fingerprint,
-)
 
 __all__ = [
-    "AUTO_SNAPSHOT_DENSITY",
-    "MIN_AUTO_INTERVAL",
     "PAGE_SIZE",
-    "STORE_FORMAT_VERSION",
     "CpuSnapshot",
-    "SnapshotEngine",
-    "SnapshotStats",
-    "SnapshotStore",
     "base_pages",
     "capture_snapshot",
     "cpu_state_digest",
-    "program_fingerprint",
-    "resolve_interval",
     "restore_snapshot",
 ]

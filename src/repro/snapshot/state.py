@@ -13,8 +13,10 @@ resume mid-program and remain bit-identical to an uninterrupted run:
   per-pc execution ``counts``, and the PINFI/REFINE/LLFI candidate
   counters.
 
-Capture happens at instruction boundaries via
-:meth:`repro.machine.cpu.CPU.record_snapshots`; restore targets a freshly
+Capture happens at instruction boundaries (the golden cursor's fork and
+sync hooks, see :meth:`repro.engine.fast.FastEngine.run_cursor`, or the
+reference loop's :meth:`repro.machine.cpu.CPU.record_snapshots`); restore
+targets a freshly
 constructed CPU whose memory is still the pristine loaded image (that is
 what makes restore O(dirty pages)).
 """

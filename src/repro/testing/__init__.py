@@ -30,6 +30,7 @@ from repro.testing.oracles import (
     RunOutcome,
     SchedulerOracle,
     ZeroInterferenceOracle,
+    check_scheduler_equivalence,
     check_workload_engine_equivalence,
     check_workload_fault_model_equivalence,
     check_workload_scheduler_equivalence,
@@ -55,6 +56,7 @@ __all__ = [
     "PipelineOracle",
     "SchedulerOracle",
     "ZeroInterferenceOracle",
+    "check_scheduler_equivalence",
     "check_workload_engine_equivalence",
     "check_workload_fault_model_equivalence",
     "check_workload_scheduler_equivalence",

@@ -340,7 +340,7 @@ class EngineOracle(Oracle):
 
 
 class SchedulerOracle(Oracle):
-    """Golden-cursor fork/resume machinery vs an uninterrupted fast run.
+    """Golden-cursor fork/resume machinery vs an uninterrupted reference run.
 
     The trigger scheduler (:mod:`repro.campaign.schedule`) rests on three
     engine primitives: :meth:`~repro.engine.fast.FastEngine.run_cursor`
@@ -350,13 +350,15 @@ class SchedulerOracle(Oracle):
     full architectural state), and
     :meth:`~repro.engine.fast.FastEngine.resume_synced` (run from a fork
     with exact-step pauses).  On an arbitrary program those must be
-    behaviour-preserving: the cursor run must equal the plain run bit for
-    bit, and a fresh CPU restored from *any* fork must finish with the
-    plain run's output, exit code, per-pc counts and step total.
+    behaviour-preserving: the cursor run must equal the plain
+    reference-engine run bit for bit, and a fresh CPU restored from *any*
+    fork — captured by the full cursor or by a cursor resumed from a golden
+    chain state (usually mid-block) — must finish with the plain run's
+    output, exit code, per-pc counts and step total.
     """
 
     name = "scheduler"
-    description = "golden-cursor fork/resume vs uninterrupted fast run"
+    description = "golden-cursor fork/resume vs uninterrupted reference run"
 
     def __init__(
         self, opt_level: str = "O2", budget: int = MACHINE_BUDGET
@@ -382,14 +384,14 @@ class SchedulerOracle(Oracle):
         program = load_binary(binary)
         engine = get_engine("fast")
         plain_cpu = CPU(program)
-        plain = engine.run(plain_cpu, budget=self.budget)
+        plain = get_engine("reference").run(plain_cpu, budget=self.budget)
         total = plain_cpu._refine_count
         if plain.trap is not None or total <= 0:
             # Trapping/timeout programs never reach the scheduler (the
             # golden run must be clean); nothing to fork without candidates.
             return None
         expected = RunOutcome(
-            engine="fast-plain",
+            engine="reference-plain",
             exit_code=plain.exit_code,
             trap=plain.trap,
             output=tuple(plain.output),
@@ -472,7 +474,40 @@ class SchedulerOracle(Oracle):
                 ),
                 expected=expected,
             )
-        for trigger, snap in sorted(forks.items()):
+        # Chain resume: restart the cursor from the nearest sync state below
+        # each trigger and stop once it has forked.
+        chain = sorted(sync_states.values(), key=lambda st: st.steps)
+        resumed_forks = []
+        for trigger in triggers:
+            below = [st for st in chain if st.refine_count < trigger]
+            cpu = CPU(program)
+            pc = None
+            if below:
+                restore_snapshot(cpu, below[-1])
+                pc = below[-1].pc
+            caught = []
+
+            def one_fork(c, at, upto, caught=caught):
+                caught.append(capture_snapshot(c, at, base=base))
+                return None
+
+            engine.run_cursor(
+                cpu, budget=self.budget, counter="refine_count",
+                first_stop=trigger, fork_hook=one_fork, pc=pc,
+                until_forked=True,
+            )
+            if not caught:
+                return Divergence(
+                    oracle=self.name,
+                    detail=(
+                        f"cursor resumed from the golden chain never forked "
+                        f"for trigger {trigger} (of {total} candidates)"
+                    ),
+                    expected=expected,
+                )
+            resumed_forks.append((trigger, caught[0]))
+
+        for trigger, snap in sorted(forks.items()) + resumed_forks:
             if snap.counter("refine_count") >= trigger:
                 return Divergence(
                     oracle=self.name,
@@ -507,24 +542,14 @@ ORACLES: dict[str, Oracle] = {
 }
 
 
-def check_workload_zero_interference(
-    name: str, snapshot_interval: int | None = None
-) -> Divergence | None:
-    """Run the zero-interference oracle on one registered MiniC workload.
-
-    With ``snapshot_interval`` (``0`` = auto), additionally cross-check the
-    snapshot fast path: injections served from golden-run snapshots must be
-    bit-identical to from-scratch runs — the same claim, one layer up.
-    """
+def check_workload_zero_interference(name: str) -> Divergence | None:
+    """Run the zero-interference oracle on one registered MiniC workload."""
     from repro.frontend import compile_source
 
     spec = get_workload(name)
     module = compile_source(spec.source)
     module.name = spec.name
-    divergence = ZeroInterferenceOracle().check(module)
-    if divergence is not None or snapshot_interval is None:
-        return divergence
-    return check_workload_snapshot_equivalence(name, snapshot_interval)
+    return ZeroInterferenceOracle().check(module)
 
 
 def _tool_supports_model(tool_cls, fault_model: str | None) -> bool:
@@ -542,19 +567,18 @@ def _tool_supports_model(tool_cls, fault_model: str | None) -> bool:
     return True
 
 
-def check_workload_snapshot_equivalence(
+def check_workload_engine_equivalence(
     name: str,
-    snapshot_interval: int = 0,
     seeds: range = range(4),
     fault_model: str | None = None,
 ) -> Divergence | None:
-    """Snapshot fast path vs from-scratch injection on one workload.
+    """Fast execution engine vs the reference engine on one workload.
 
-    For every tool, runs the same seeds through a snapshot-enabled tool and
-    a plain one and demands identical ``ExecutionResult`` observables
-    (outcome behaviour, output, dynamic trace, step and cycle counts).
-    ``fault_model`` (a :mod:`repro.fi.models` spec) runs the comparison
-    under that model; tools that cannot host it are skipped.
+    For every tool, builds one reference-engine tool and one fast-engine
+    tool and demands identical golden profiles and identical from-scratch
+    injection results for the same seeds — the fault-campaign-level
+    statement of the :class:`EngineOracle` property.  (Mid-run resumes are
+    exercised by :func:`check_workload_scheduler_equivalence`.)
     """
     from repro.fi.tools import TOOL_CLASSES, TOOL_ORDER
 
@@ -562,25 +586,40 @@ def check_workload_snapshot_equivalence(
     for tool_name in TOOL_ORDER:
         if not _tool_supports_model(TOOL_CLASSES[tool_name], fault_model):
             continue
-        scratch = TOOL_CLASSES[tool_name](
-            spec.source, workload=spec.name, fault_model=fault_model
+        ref = TOOL_CLASSES[tool_name](
+            spec.source, workload=spec.name, engine="reference",
+            fault_model=fault_model,
         )
-        snapped = TOOL_CLASSES[tool_name](
-            spec.source, workload=spec.name, fault_model=fault_model
+        fast = TOOL_CLASSES[tool_name](
+            spec.source, workload=spec.name, engine="fast",
+            fault_model=fault_model,
         )
-        snapped.enable_snapshots(interval=snapshot_interval)
+        rp, fp = ref.profile, fast.profile
+        if (
+            rp.golden_output != fp.golden_output
+            or rp.steps != fp.steps
+            or rp.total_candidates != fp.total_candidates
+        ):
+            return Divergence(
+                oracle="engine",
+                detail=(
+                    f"golden profiles diverge ({name}/{tool_name}, "
+                    f"steps {rp.steps} vs {fp.steps}, candidates "
+                    f"{rp.total_candidates} vs {fp.total_candidates})"
+                ),
+            )
         for seed in seeds:
-            a = scratch.inject(seed)
-            b = snapped.inject(seed)
+            a = ref.inject(seed)
+            b = fast.inject(seed)
             expected = RunOutcome(
-                engine=f"{tool_name}-scratch",
+                engine=f"{tool_name}-reference",
                 exit_code=a.result.exit_code,
                 trap=a.result.trap,
                 output=tuple(a.result.output),
                 trace=tuple(a.result.counts),
             )
             actual = RunOutcome(
-                engine=f"{tool_name}-snapshot",
+                engine=f"{tool_name}-fast",
                 exit_code=b.result.exit_code,
                 trap=b.result.trap,
                 output=tuple(b.result.output),
@@ -590,16 +629,16 @@ def check_workload_snapshot_equivalence(
                 expected.behaviour() != actual.behaviour()
                 or expected.trace != actual.trace
                 or a.result.steps != b.result.steps
+                or a.result.trap_pc != b.result.trap_pc
                 or abs(a.cycles - b.cycles) > 1e-9
             ):
                 return Divergence(
-                    oracle="snapshot",
+                    oracle="engine",
                     detail=(
-                        f"snapshot-served injection diverged from the "
-                        f"from-scratch run ({name}/{tool_name}"
+                        f"fast engine diverged from the reference "
+                        f"engine ({name}/{tool_name}"
                         f"{'/' + fault_model if fault_model else ''}, "
-                        f"steps {a.result.steps} vs {b.result.steps}, "
-                        f"cycles {a.cycles} vs {b.cycles})"
+                        f"steps {a.result.steps} vs {b.result.steps})"
                     ),
                     expected=expected,
                     actual=actual,
@@ -608,165 +647,129 @@ def check_workload_snapshot_equivalence(
     return None
 
 
-def check_workload_engine_equivalence(
-    name: str,
-    snapshot_interval: int | None = None,
-    seeds: range = range(4),
-    fault_model: str | None = None,
-) -> Divergence | None:
-    """Fast execution engine vs the reference engine on one workload.
+def record_mismatch(expected, actual) -> str | None:
+    """The first :class:`~repro.campaign.results.ExperimentRecord` field on
+    which two records of the same experiment differ, or ``None``.
 
-    For every tool, builds one reference-engine tool and one fast-engine
-    tool and demands identical golden profiles and identical injection
-    results for the same seeds — the fault-campaign-level statement of the
-    :class:`EngineOracle` property.  With ``snapshot_interval`` (``0`` =
-    auto) the comparison is repeated with the snapshot fast path enabled on
-    both sides, so the engine is also exercised through golden-run
-    recording and mid-run :meth:`~repro.machine.cpu.CPU.resume`.
+    ``engine`` and ``snapshot_hit`` are provenance, not results; ``cycles``
+    is held to float-summation tolerance.
     """
-    from repro.fi.tools import TOOL_CLASSES, TOOL_ORDER
-
-    spec = get_workload(name)
-    intervals: list[int | None] = [None]
-    if snapshot_interval is not None:
-        intervals.append(snapshot_interval)
-    for tool_name in TOOL_ORDER:
-        if not _tool_supports_model(TOOL_CLASSES[tool_name], fault_model):
-            continue
-        for interval in intervals:
-            ref = TOOL_CLASSES[tool_name](
-                spec.source, workload=spec.name, engine="reference",
-                fault_model=fault_model,
-            )
-            fast = TOOL_CLASSES[tool_name](
-                spec.source, workload=spec.name, engine="fast",
-                fault_model=fault_model,
-            )
-            if interval is not None:
-                ref.enable_snapshots(interval=interval)
-                fast.enable_snapshots(interval=interval)
-            mode = "scratch" if interval is None else "snapshot"
-            rp, fp = ref.profile, fast.profile
-            if (
-                rp.golden_output != fp.golden_output
-                or rp.steps != fp.steps
-                or rp.total_candidates != fp.total_candidates
-            ):
-                return Divergence(
-                    oracle="engine",
-                    detail=(
-                        f"golden profiles diverge ({name}/{tool_name}, "
-                        f"steps {rp.steps} vs {fp.steps}, candidates "
-                        f"{rp.total_candidates} vs {fp.total_candidates})"
-                    ),
-                )
-            for seed in seeds:
-                a = ref.inject(seed)
-                b = fast.inject(seed)
-                expected = RunOutcome(
-                    engine=f"{tool_name}-reference-{mode}",
-                    exit_code=a.result.exit_code,
-                    trap=a.result.trap,
-                    output=tuple(a.result.output),
-                    trace=tuple(a.result.counts),
-                )
-                actual = RunOutcome(
-                    engine=f"{tool_name}-fast-{mode}",
-                    exit_code=b.result.exit_code,
-                    trap=b.result.trap,
-                    output=tuple(b.result.output),
-                    trace=tuple(b.result.counts),
-                )
-                if (
-                    expected.behaviour() != actual.behaviour()
-                    or expected.trace != actual.trace
-                    or a.result.steps != b.result.steps
-                    or a.result.trap_pc != b.result.trap_pc
-                    or abs(a.cycles - b.cycles) > 1e-9
-                ):
-                    return Divergence(
-                        oracle="engine",
-                        detail=(
-                            f"fast engine diverged from the reference "
-                            f"engine ({name}/{tool_name}/{mode}"
-                            f"{'/' + fault_model if fault_model else ''}, "
-                            f"steps {a.result.steps} vs {b.result.steps})"
-                        ),
-                        expected=expected,
-                        actual=actual,
-                        seed=seed,
-                    )
-    return None
+    identity = (
+        ("index", expected.index, actual.index),
+        ("seed", expected.seed, actual.seed),
+        ("outcome", expected.outcome, actual.outcome),
+        ("steps", expected.steps, actual.steps),
+        ("trap", expected.trap, actual.trap),
+        ("exit_code", expected.exit_code, actual.exit_code),
+        ("fault", expected.fault, actual.fault),
+    )
+    mismatch = next((field for field, x, y in identity if x != y), None)
+    if mismatch is None and abs(expected.cycles - actual.cycles) > 1e-9 * max(
+        1.0, abs(expected.cycles)
+    ):
+        mismatch = "cycles"
+    return mismatch
 
 
 def check_workload_scheduler_equivalence(
-    name: str, n: int = 12, fault_model: str | None = None
+    name: str, n: int = 12, fault_model: str | None = None, batches: int = 3
 ) -> Divergence | None:
-    """Trigger-ordered campaign vs index-ordered campaign on one workload.
+    """:func:`check_scheduler_equivalence` on one registered workload."""
+    spec = get_workload(name)
+    return check_scheduler_equivalence(
+        spec.source, spec.name, n=n, fault_model=fault_model, batches=batches
+    )
 
-    For every tool, runs the same ``n``-experiment campaign once per
-    schedule and demands record-for-record equality on every
-    :class:`~repro.campaign.results.ExperimentRecord` field except
-    ``snapshot_hit`` (a fast-path provenance flag), with ``cycles`` held to
-    float-summation tolerance — the campaign-level statement of the
-    :class:`SchedulerOracle` property, fault injection included.
+
+def check_scheduler_equivalence(
+    source: str,
+    name: str,
+    n: int = 12,
+    fault_model: str | None = None,
+    batches: int = 3,
+) -> Divergence | None:
+    """Trigger-ordered campaigns vs from-scratch reference runs of the
+    MiniC program ``source`` (workload name ``name``).
+
+    For every tool, the oracle side runs each of ``n`` experiments from
+    scratch on the reference engine.  The fast engine then runs the same
+    experiments as one trigger-ordered campaign, and as ``batches``
+    batches on one retained :class:`~repro.campaign.schedule.TriggerScheduler`
+    three ways: in trigger order, in reverse, and with one batch repeated
+    as a requeue — so later batches resume from the golden chain, usually
+    mid-block.  Every record must equal the reference one on every field
+    :func:`record_mismatch` compares, and the campaign's outcome counts
+    must match.
     """
-    from repro.campaign.runner import make_tool, run_campaign
+    from repro.campaign.runner import (
+        DEFAULT_SEED,
+        make_tool,
+        run_campaign,
+        run_experiment,
+    )
+    from repro.campaign.schedule import TriggerScheduler, resolve_trigger_order
     from repro.fi.tools import TOOL_CLASSES
 
-    spec = get_workload(name)
+    model_tag = f"/{fault_model}" if fault_model else ""
     for tool_name in ("LLFI", "REFINE", "PINFI"):
         if not _tool_supports_model(TOOL_CLASSES[tool_name], fault_model):
             continue
-        by_index = run_campaign(
-            make_tool(
-                tool_name, spec.source, spec.name, snapshot_interval=0,
-                fault_model=fault_model,
-            ),
-            n, keep_records=True,
+        ref = make_tool(
+            tool_name, source, name, engine="reference",
+            fault_model=fault_model,
         )
-        by_trigger = run_campaign(
-            make_tool(
-                tool_name, spec.source, spec.name, snapshot_interval=0,
-                schedule="trigger", fault_model=fault_model,
-            ),
-            n, keep_records=True, schedule="trigger",
+        expected = {i: run_experiment(ref, DEFAULT_SEED, i) for i in range(n)}
+        fast = make_tool(
+            tool_name, source, name, engine="fast", fault_model=fault_model,
         )
-        for a, b in zip(by_index.records, by_trigger.records):
-            identity = (
-                ("seed", a.seed, b.seed),
-                ("outcome", a.outcome, b.outcome),
-                ("steps", a.steps, b.steps),
-                ("trap", a.trap, b.trap),
-                ("exit_code", a.exit_code, b.exit_code),
-                ("fault", a.fault, b.fault),
-                ("index", a.index, b.index),
-            )
-            mismatch = next(
-                (field for field, x, y in identity if x != y), None
-            )
-            if mismatch is None and abs(a.cycles - b.cycles) > 1e-9 * max(
-                1.0, abs(a.cycles)
-            ):
-                mismatch = "cycles"
-            if mismatch is not None:
+        campaign = run_campaign(fast, n, keep_records=True)
+        runs = [("campaign", campaign.records)]
+        order = [i for _, i in resolve_trigger_order(fast, DEFAULT_SEED, range(n))]
+        size = -(-n // batches)
+        chunks = [order[lo:lo + size] for lo in range(0, n, size)]
+        middle = chunks[len(chunks) // 2]
+        for way, sequence in (
+            ("in trigger order", chunks),
+            ("in reverse", chunks[::-1]),
+            ("with a requeued batch", chunks + [middle]),
+        ):
+            sched = TriggerScheduler(fast)
+            records = [
+                rec for batch in sequence
+                for rec in sched.run_batch(DEFAULT_SEED, batch)
+            ]
+            runs.append((f"{len(sequence)} batches {way}", records))
+        for label, records in runs:
+            if sorted({r.index for r in records}) != list(range(n)):
                 return Divergence(
                     oracle="scheduler",
                     detail=(
-                        f"trigger-ordered campaign diverged from the "
-                        f"index-ordered one ({name}/{tool_name}"
-                        f"{'/' + fault_model if fault_model else ''}, "
-                        f"experiment {a.index}, field {mismatch!r})"
+                        f"{label} did not cover experiments 0..{n - 1} "
+                        f"({name}/{tool_name}{model_tag})"
                     ),
-                    seed=a.seed,
                 )
-        if by_index.counts != by_trigger.counts:
+            for rec in records:
+                mismatch = record_mismatch(expected[rec.index], rec)
+                if mismatch is not None:
+                    return Divergence(
+                        oracle="scheduler",
+                        detail=(
+                            f"trigger-ordered run ({label}) diverged from "
+                            f"the from-scratch reference run ({name}/"
+                            f"{tool_name}{model_tag}, experiment "
+                            f"{rec.index}, field {mismatch!r})"
+                        ),
+                        seed=rec.seed,
+                    )
+        counts = {}
+        for rec in expected.values():
+            counts[rec.outcome] = counts.get(rec.outcome, 0) + 1
+        if {o: k for o, k in campaign.counts.items() if k} != counts:
             return Divergence(
                 oracle="scheduler",
                 detail=(
                     f"trigger-ordered campaign outcome counts diverged "
-                    f"({name}/{tool_name}"
-                    f"{'/' + fault_model if fault_model else ''})"
+                    f"({name}/{tool_name}{model_tag})"
                 ),
             )
     return None
@@ -782,10 +785,10 @@ def check_workload_fault_model_equivalence(
 
     For each fault model (default: one of each registered kind), demands on
     one workload that (a) the fast and reference engines agree on every
-    injection, and (b) a trigger-ordered campaign is record-for-record
-    identical to an index-ordered one — i.e. the engine- and
-    scheduler-equivalence properties hold under every model, not just the
-    paper's single-bit default.  Tools that cannot host a model (LLFI has
+    injection, and (b) trigger-ordered runs (one batch and several) are
+    record-for-record identical to from-scratch reference runs — i.e. the
+    engine- and scheduler-equivalence properties hold under every model,
+    not just the paper's single-bit default.  Tools that cannot host a model (LLFI has
     no instruction fetch to corrupt) are skipped for that model only.
     """
     if models is None:

@@ -1,27 +1,32 @@
 """Trigger-ordered scheduler tests.
 
-The acceptance bar everywhere is *bit-identical to index order*: the
-trigger schedule is purely an execution-order optimization, so every
+Every fast-engine campaign runs trigger-ordered along one golden cursor;
+the reference engine runs each index from scratch.  The acceptance bar
+everywhere is *bit-identical to the from-scratch reference run*: every
 record a campaign produces — seed, outcome, cycles, steps, trap, fault
-coordinates — must match the sequential index-ordered run exactly.
+coordinates — must match exactly, however the experiments were batched.
 """
 
 import pytest
 
 from repro.campaign import (
     EventLog,
+    TriggerScheduler,
     make_tool,
     read_events,
     resolve_trigger_order,
     run_campaign,
     run_campaign_parallel,
-    validate_schedule,
 )
 from repro.campaign.io import result_to_dict
-from repro.campaign.schedule import TriggerScheduler
+from repro.campaign.schedule import MIN_CHAIN_INTERVAL, chain_interval
 from repro.errors import CampaignError
+from repro.fi.models import MODEL_ORDER
 from repro.fi.tools import TOOL_CLASSES
-from repro.testing.oracles import check_workload_scheduler_equivalence
+from repro.testing.oracles import (
+    check_scheduler_equivalence,
+    check_workload_scheduler_equivalence,
+)
 from repro.workloads.registry import workload_sources
 
 from tests.conftest import DEMO_SOURCE
@@ -30,41 +35,52 @@ N = 24
 SEED = 0xC0FFEE
 
 
+def _reference(tool_name="REFINE", n=N):
+    """The oracle side: every index from scratch on the reference engine."""
+    return run_campaign(
+        make_tool(tool_name, DEMO_SOURCE, "demo", engine="reference"),
+        n, SEED, keep_records=True,
+    )
+
+
 def _assert_equivalent(result, baseline):
     """Bit-identity bar for reordered campaigns: every serialized field
-    exact, except ``snapshot_hit`` (trigger tails are served from forks,
-    index injects from the persistent snapshot store) and
-    ``total_cycles`` (accumulated in completion order, so reordering
+    exact, except the provenance fields ``engine`` and ``snapshot_hit``
+    and ``total_cycles`` (accumulated in completion order, so reordering
     shifts the float summation — same bar as the parallel runner)."""
     a, b = result_to_dict(result), result_to_dict(baseline)
     for data in (a, b):
         for rec in data.get("records", ()):
             rec.pop("snapshot_hit", None)
+            rec.pop("engine", None)
     assert a.pop("total_cycles") == pytest.approx(b.pop("total_cycles"))
     assert a == b
 
 
+def _record_key(r):
+    return (
+        r.index, r.seed, r.outcome, r.cycles, r.steps, r.trap, r.exit_code,
+        None if r.fault is None else
+        (r.fault.pc, r.fault.dynamic_index, r.fault.operand_desc, r.fault.bit,
+         r.fault.value_before, r.fault.value_after),
+    )
+
+
 def _records_key(result):
-    return [
-        (r.index, r.seed, r.outcome, r.cycles, r.steps, r.trap, r.exit_code,
-         None if r.fault is None else
-         (r.fault.pc, r.fault.dynamic_index, r.fault.operand_desc, r.fault.bit,
-          r.fault.value_before, r.fault.value_after))
-        for r in result.records
-    ]
+    return [_record_key(r) for r in result.records]
 
 
 class TestValidation:
-    def test_unknown_schedule_rejected(self):
-        with pytest.raises(CampaignError, match="schedule"):
-            validate_schedule("random")
-        validate_schedule("index")
-        validate_schedule("trigger")
+    def test_scheduler_requires_the_fast_engine(self):
+        tool = make_tool("REFINE", DEMO_SOURCE, "demo", engine="reference")
+        with pytest.raises(CampaignError, match="fast engine"):
+            TriggerScheduler(tool)
 
-    def test_run_campaign_rejects_unknown_schedule(self):
-        tool = make_tool("REFINE", DEMO_SOURCE, "demo")
-        with pytest.raises(CampaignError, match="schedule"):
-            run_campaign(tool, 4, schedule="alphabetical")
+    @pytest.mark.parametrize("tool_name", sorted(TOOL_CLASSES))
+    def test_every_tool_has_a_counter(self, tool_name):
+        assert TOOL_CLASSES[tool_name]._SNAPSHOT_COUNTER in (
+            "refine_count", "pin_count", "llfi_count",
+        )
 
 
 class TestTriggerOrder:
@@ -90,23 +106,76 @@ class TestTriggerOrder:
 class TestSequentialEquivalence:
     @pytest.mark.parametrize("tool_name", sorted(TOOL_CLASSES))
     def test_demo_bit_identical(self, tool_name):
-        index = run_campaign(
+        reference = _reference(tool_name)
+        trigger = run_campaign(
             make_tool(tool_name, DEMO_SOURCE, "demo"), N, SEED,
             keep_records=True,
         )
-        trigger = run_campaign(
-            make_tool(tool_name, DEMO_SOURCE, "demo", schedule="trigger"),
-            N, SEED, keep_records=True, schedule="trigger",
-        )
-        assert _records_key(trigger) == _records_key(index)
-        _assert_equivalent(trigger, index)
+        assert _records_key(trigger) == _records_key(reference)
+        _assert_equivalent(trigger, reference)
 
     # The tier-1 smoke slice of the equivalence matrix: two real
-    # workloads, every tool, trigger vs index bit-identical.
+    # workloads, every tool, one batch and several, bit-identical to the
+    # from-scratch reference runs.
     @pytest.mark.parametrize("workload", ["EP", "CG"])
     def test_workload_smoke(self, workload):
         divergence = check_workload_scheduler_equivalence(workload, n=6)
         assert divergence is None, divergence.describe()
+
+
+class TestRetainedScheduler:
+    """The same experiments run as several batches on one retained
+    scheduler — in trigger order, in reverse, and with one batch requeued —
+    must equal the reference record for record, for every tool and every
+    registered fault model."""
+
+    @pytest.mark.parametrize("fault_model", MODEL_ORDER)
+    def test_multi_batch_bit_identical(self, fault_model):
+        divergence = check_scheduler_equivalence(
+            DEMO_SOURCE, "demo", n=12, fault_model=fault_model, batches=3,
+        )
+        assert divergence is None, divergence.describe()
+
+    def test_later_batches_resume_from_the_golden_chain(self):
+        tool = make_tool("REFINE", DEMO_SOURCE, "demo")
+        sched = TriggerScheduler(tool)
+        order = [i for _, i in resolve_trigger_order(tool, SEED, range(N))]
+        first = list(sched.run_batch(SEED, order[:N // 2]))
+        first_stats = sched.stats.as_dict()
+        assert first_stats["experiments"] == N // 2
+        assert first_stats["sync_states"] > 0
+        assert first_stats["cursor_steps"] == tool.profile.steps
+
+        second = list(sched.run_batch(SEED, order[N // 2:]))
+        stats = sched.stats.as_dict()
+        # Per-batch counters: nothing carried over from the first batch.
+        assert stats["experiments"] == N - N // 2
+        assert stats["sync_states"] == 0
+        # The cursor restarted from a chain state and stopped at the last
+        # fork instead of re-running the golden run from step 0.
+        assert 0 < stats["cursor_steps"] < tool.profile.steps
+        assert all(rec.snapshot_hit for rec in first + second)
+
+        reference = {r.index: r for r in _reference().records}
+        for rec in first + second:
+            assert _record_key(rec) == _record_key(reference[rec.index])
+
+    def test_chain_interval_scales_with_golden_steps(self):
+        assert chain_interval(128_000) == 1000
+        assert chain_interval(10 * 128_000) == 10_000
+
+    def test_chain_interval_floor_for_tiny_workloads(self):
+        assert chain_interval(100) == MIN_CHAIN_INTERVAL
+        assert chain_interval(0) == MIN_CHAIN_INTERVAL
+
+    def test_failed_golden_run_keeps_no_chain(self, monkeypatch):
+        tool = make_tool("REFINE", DEMO_SOURCE, "demo")
+        sched = TriggerScheduler(tool)
+        tool.profile  # noqa: B018 - profile before perturbing it
+        monkeypatch.setattr(tool.profile, "steps", tool.profile.steps + 1)
+        with pytest.raises(CampaignError, match="golden cursor"):
+            list(sched.run_batch(SEED, range(4)))
+        assert sched._chain == [] and sched._g_steps is None
 
 
 @pytest.mark.slow
@@ -123,8 +192,8 @@ class TestTelemetry:
     def test_finish_event_carries_schedule_phases_and_stats(self, tmp_path):
         log_path = tmp_path / "events.jsonl"
         log = EventLog(log_path)
-        tool = make_tool("REFINE", DEMO_SOURCE, "demo", schedule="trigger")
-        run_campaign(tool, N, SEED, schedule="trigger", events=log)
+        tool = make_tool("REFINE", DEMO_SOURCE, "demo")
+        run_campaign(tool, N, SEED, events=log)
         log.close()
         events = read_events(log_path)
         finish = [e for e in events if e["event"] == "campaign_finish"]
@@ -149,7 +218,8 @@ class TestTelemetry:
         log_path = tmp_path / "events.jsonl"
         log = EventLog(log_path)
         run_campaign(
-            make_tool("REFINE", DEMO_SOURCE, "demo"), 6, SEED, events=log
+            make_tool("REFINE", DEMO_SOURCE, "demo", engine="reference"),
+            6, SEED, events=log,
         )
         log.close()
         finish = [
@@ -167,13 +237,10 @@ class _Kill(Exception):
 class TestCheckpointResume:
     def test_kill_and_resume_trigger_order(self, tmp_path):
         """A trigger-ordered campaign killed mid-flight resumes from the
-        completed-index set and finishes bit-identical to both an
-        uninterrupted trigger run and the index-ordered ground truth."""
+        completed-index set and finishes bit-identical to the from-scratch
+        reference run."""
         path = tmp_path / "c.json"
-        baseline = run_campaign(
-            make_tool("REFINE", DEMO_SOURCE, "demo"), N, SEED,
-            keep_records=True,
-        )
+        baseline = _reference()
 
         killed_after = N // 3
 
@@ -183,28 +250,25 @@ class TestCheckpointResume:
 
         with pytest.raises(_Kill):
             run_campaign(
-                make_tool("REFINE", DEMO_SOURCE, "demo", schedule="trigger"),
-                N, SEED, keep_records=True, schedule="trigger",
+                make_tool("REFINE", DEMO_SOURCE, "demo"),
+                N, SEED, keep_records=True,
                 checkpoint_path=path, checkpoint_every=4, progress=_bomb,
             )
         assert path.exists()
 
         resumed = run_campaign(
-            make_tool("REFINE", DEMO_SOURCE, "demo", schedule="trigger"),
-            N, SEED, keep_records=True, schedule="trigger",
-            checkpoint_path=path,
+            make_tool("REFINE", DEMO_SOURCE, "demo"),
+            N, SEED, keep_records=True, checkpoint_path=path,
         )
         assert _records_key(resumed) == _records_key(baseline)
         _assert_equivalent(resumed, baseline)
 
     def test_resume_across_schedules(self, tmp_path):
         """Checkpoints carry the completed-index *set*, so a campaign can
-        even be killed under one schedule and resumed under the other."""
+        even be killed on the reference engine's per-index loop and
+        resumed trigger-ordered on the fast engine."""
         path = tmp_path / "c.json"
-        baseline = run_campaign(
-            make_tool("REFINE", DEMO_SOURCE, "demo"), N, SEED,
-            keep_records=True,
-        )
+        baseline = _reference()
 
         def _bomb(done, total):
             if done >= N // 2:
@@ -212,27 +276,23 @@ class TestCheckpointResume:
 
         with pytest.raises(_Kill):
             run_campaign(
-                make_tool("REFINE", DEMO_SOURCE, "demo"), N, SEED,
-                keep_records=True, checkpoint_path=path,
+                make_tool("REFINE", DEMO_SOURCE, "demo", engine="reference"),
+                N, SEED, keep_records=True, checkpoint_path=path,
                 checkpoint_every=4, progress=_bomb,
             )
         resumed = run_campaign(
-            make_tool("REFINE", DEMO_SOURCE, "demo", schedule="trigger"),
-            N, SEED, keep_records=True, schedule="trigger",
-            checkpoint_path=path,
+            make_tool("REFINE", DEMO_SOURCE, "demo"),
+            N, SEED, keep_records=True, checkpoint_path=path,
         )
         _assert_equivalent(resumed, baseline)
 
 
 class TestParallelEquivalence:
     def test_parallel_trigger_bit_identical(self):
-        baseline = run_campaign(
-            make_tool("REFINE", DEMO_SOURCE, "demo"), N, SEED,
-            keep_records=True,
-        )
+        baseline = _reference()
         parallel = run_campaign_parallel(
             "REFINE", DEMO_SOURCE, "demo", N, workers=2, base_seed=SEED,
-            keep_records=True, schedule="trigger",
+            keep_records=True,
         )
         assert _records_key(parallel) == _records_key(baseline)
         _assert_equivalent(parallel, baseline)
@@ -242,7 +302,7 @@ class TestParallelEquivalence:
         log = EventLog(log_path)
         run_campaign_parallel(
             "REFINE", DEMO_SOURCE, "demo", N, workers=2, base_seed=SEED,
-            schedule="trigger", events=log,
+            events=log,
         )
         log.close()
         events = read_events(log_path)

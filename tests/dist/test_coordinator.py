@@ -15,6 +15,8 @@ from repro.dist import (
     send_message,
     shard_indices,
 )
+from repro.dist.coordinator import trigger_order_indices
+from repro.dist.protocol import decode_indices
 from repro.errors import DistError
 
 from tests.conftest import DEMO_SOURCE
@@ -143,7 +145,10 @@ class TestProtocolConversation:
         assert lease["attempt"] == 0
         spec = CampaignSpec.from_dict(lease["spec"])
         assert spec.key == ("demo", "REFINE")
-        assert lease["indices"] == [[0, 4]]
+        # Multi-experiment tasks of a fast-engine cell are contiguous
+        # slices of the trigger order; the first lease is the first slice.
+        first = trigger_order_indices(spec, list(range(spec.n)))[:4]
+        assert decode_indices(lease["indices"]) == tuple(first)
 
     def test_result_for_unknown_task_is_an_error(self, conn):
         send_message(conn, {"type": "hello", "name": None, "procs": 1})

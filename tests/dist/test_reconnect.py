@@ -1,8 +1,10 @@
 """Worker reconnect backoff: capped exponential, jittered, windowed.
 
-Pure unit tests against :meth:`Worker._backoff_or_raise` with patched
-clocks — no sockets.  The live coordinator-bounce test is
-``tests/service/test_service.py::TestWorkerReconnect``.
+:class:`TestBackoff` unit-tests :meth:`Worker._backoff_or_raise` with
+patched clocks — no sockets.  :class:`TestLiveReconnect` drives a real
+worker against a minimal coordinator that crashes and comes back on the
+same port, and against an address nothing listens on.  The full-service
+bounce test is ``tests/service/test_service.py::TestWorkerReconnect``.
 """
 
 import pytest
@@ -106,3 +108,84 @@ class TestBackoff:
             DistConnectionError("down again"), None, 0
         )
         assert down == 1000.0
+
+
+class _BouncingCoordinator:
+    """A minimal coordinator on a fixed port: it welcomes the worker,
+    drops the connection and stops listening (a crash), then comes back on
+    the same port and tells the reconnected worker the campaign is done."""
+
+    def __init__(self, downtime: float = 0.5) -> None:
+        import socket
+        import threading
+
+        self._downtime = downtime
+        self.hellos = 0
+        self._sock = socket.socket()
+        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        self._sock.bind(("127.0.0.1", 0))
+        self.port = self._sock.getsockname()[1]
+        self._sock.listen()
+        self._thread = threading.Thread(target=self._run, daemon=True)
+        self._thread.start()
+
+    def _session(self, listener, final_reply) -> None:
+        from repro.dist.protocol import recv_message, send_message
+
+        conn, _ = listener.accept()
+        with conn:
+            assert recv_message(conn)["type"] == "hello"
+            self.hellos += 1
+            send_message(conn, {
+                "type": "welcome", "version": 2, "worker": "w-bounce",
+                "heartbeat_s": 1.0, "lease_timeout_s": 60.0,
+            })
+            assert recv_message(conn)["type"] == "request"
+            if final_reply is not None:
+                send_message(conn, final_reply)
+
+    def _run(self) -> None:
+        import socket
+        import time
+
+        self._session(self._sock, None)  # crash mid-conversation
+        self._sock.close()
+        time.sleep(self._downtime)
+        again = socket.socket()
+        again.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        again.bind(("127.0.0.1", self.port))
+        again.listen()
+        with again:
+            self._session(again, {"type": "done"})
+
+    def join(self) -> None:
+        self._thread.join(timeout=30.0)
+
+
+class TestLiveReconnect:
+    def test_connected_worker_rides_out_a_coordinator_bounce(self):
+        coordinator = _BouncingCoordinator(downtime=0.5)
+        worker = Worker(
+            "127.0.0.1", coordinator.port, reconnect_window=30.0,
+            reconnect_base=0.05, reconnect_cap=0.2,
+        )
+        stats = worker.run()  # returns once the restarted side says done
+        coordinator.join()
+        assert coordinator.hellos == 2
+        assert stats.name == "w-bounce"
+
+    def test_never_connected_worker_fails_fast(self):
+        """The reconnect window only covers downtime after a successful
+        handshake: a wrong address fails at once, window or not."""
+        import socket
+        import time
+
+        probe = socket.socket()
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+        probe.close()
+        worker = Worker("127.0.0.1", port, reconnect_window=300.0)
+        started = time.monotonic()
+        with pytest.raises(DistConnectionError, match="cannot reach coordinator"):
+            worker.run()
+        assert time.monotonic() - started < 5.0

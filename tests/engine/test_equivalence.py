@@ -1,8 +1,9 @@
 """Fast-engine vs reference-engine equivalence on the paper's workloads.
 
 The acceptance bar for the free-run engine: bit-identical injection
-results across the full workload matrix, for all three tools, with the
-snapshot fast path both off and on.  The tier-1 smoke below covers one
+results across the full workload matrix, for all three tools (mid-run
+resumes are covered by the scheduler equivalence suite in
+``tests/campaign/test_schedule.py``).  The tier-1 smoke below covers one
 workload; the full matrix runs under ``-m slow`` (CI's equivalence step
 and the nightly fuzz job).
 """
@@ -17,7 +18,7 @@ SMOKE_WORKLOAD = "EP"
 
 def test_engine_equivalence_smoke():
     divergence = check_workload_engine_equivalence(
-        SMOKE_WORKLOAD, snapshot_interval=0, seeds=range(2)
+        SMOKE_WORKLOAD, seeds=range(2)
     )
     assert divergence is None, divergence.describe()
 
@@ -26,7 +27,7 @@ def test_engine_equivalence_smoke():
 @pytest.mark.parametrize("name", workload_names())
 def test_engine_equivalence_full_matrix(name):
     divergence = check_workload_engine_equivalence(
-        name, snapshot_interval=0, seeds=range(4)
+        name, seeds=range(4)
     )
     assert divergence is None, divergence.describe()
 

@@ -1,8 +1,8 @@
 """Unit tests for the fast block-compiled execution engine.
 
 Every test here states the same invariant from a different angle: whatever
-the fast engine does internally (batched accounting, lazy suffixes,
-careful windows), its observable :class:`ExecutionResult` is bit-identical
+the fast engine does internally (batched accounting, mid-block
+entries, careful windows), its observable :class:`ExecutionResult` is bit-identical
 to the reference interpreter loop.
 """
 
@@ -15,6 +15,7 @@ from repro.engine.cache import TranslationCache, translation_fingerprint
 from repro.engine.fast import FastEngine
 from repro.machine import CPU, load_binary
 from repro.machine import opcodes as O
+from repro.snapshot import capture_snapshot, restore_snapshot
 
 from tests.conftest import DEMO_SOURCE
 
@@ -31,6 +32,18 @@ def assert_same_result(a, b):
     assert a.trap_pc == b.trap_pc
     assert a.steps == b.steps
     assert list(a.counts) == list(b.counts)
+
+
+def _mid_block_snapshots(program):
+    """Reference-loop states whose next pc lies inside a basic block."""
+    leaders, _ = discover_blocks(program)
+    snaps = []
+    cpu = CPU(program)
+    cpu.record_snapshots(37, lambda c, pc: snaps.append(capture_snapshot(c, pc)))
+    cpu.run()
+    mid = [snap for snap in snaps if snap.pc not in set(leaders)]
+    assert mid, "no mid-block states to resume from"
+    return mid
 
 
 class TestSelection:
@@ -93,9 +106,7 @@ class TestRunEquivalence:
     def test_mid_block_resume(self, program):
         # Drive the reference loop to an arbitrary step count (not a block
         # leader), then continue with the fast engine vs the reference:
-        # exercises the lazy suffix-translation path.
-        from repro.snapshot import capture_snapshot, restore_snapshot
-
+        # exercises the mid-block entry path.
         snaps = []
         cpu = CPU(program)
         cpu.record_snapshots(97, lambda c, pc: snaps.append(
@@ -111,17 +122,80 @@ class TestRunEquivalence:
             assert_same_result(ref, fast)
             assert fast.steps == full.steps
 
-    def test_golden_recording_delegates(self, program):
-        # A snapshot-recording run through the fast engine is executed by
-        # the reference loop: hooks fire at exactly the same steps.
-        ref_calls, fast_calls = [], []
-        ref_cpu, fast_cpu = CPU(program), CPU(program)
-        ref_cpu.record_snapshots(100, lambda c, pc: ref_calls.append((c.steps, pc)))
-        fast_cpu.record_snapshots(100, lambda c, pc: fast_calls.append((c.steps, pc)))
-        ref = ReferenceEngine().run(ref_cpu)
-        fast = FastEngine().run(fast_cpu)
-        assert_same_result(ref, fast)
-        assert ref_calls == fast_calls
+    def test_mid_block_entry_generates_no_code(self, program):
+        # A mid-block entry registers only the remainder's metadata; the
+        # instantiated blocks stay exactly the translated leaders.
+        leaders, end_of = discover_blocks(program)
+        snap = _mid_block_snapshots(program)[0]
+        cpu = CPU(program)
+        restore_snapshot(cpu, snap)
+        engine = FastEngine(cache_dir=None)
+        engine.cache = TranslationCache()
+        engine.resume(cpu, snap.pc)
+        trans = engine.cache.translation_for(program)
+        assert sorted(cpu._fast_ctx[2]) == leaders
+        assert trans.ends[snap.pc] == end_of[snap.pc]
+
+    def test_budget_expires_inside_mid_block_remainder(self, program):
+        _, end_of = discover_blocks(program)
+        for snap in _mid_block_snapshots(program):
+            remainder = end_of[snap.pc] - snap.pc
+            for extra in {1, remainder - 1, remainder}:
+                if extra < 1:
+                    continue
+                budget = snap.steps + extra
+                ref_cpu, fast_cpu = CPU(program), CPU(program)
+                restore_snapshot(ref_cpu, snap)
+                restore_snapshot(fast_cpu, snap)
+                ref = ReferenceEngine().resume(ref_cpu, snap.pc, budget)
+                fast = FastEngine().resume(fast_cpu, snap.pc, budget)
+                assert ref.trap == "timeout"
+                assert_same_result(ref, fast)
+
+    def test_sync_point_inside_mid_block_remainder(self, program):
+        _, end_of = discover_blocks(program)
+        full = ReferenceEngine().run(CPU(program))
+        for snap in _mid_block_snapshots(program):
+            remainder = end_of[snap.pc] - snap.pc
+            sync = snap.steps + max(1, remainder // 2)
+            seen = []
+            cpu = CPU(program)
+            restore_snapshot(cpu, snap)
+            result = FastEngine().resume_synced(
+                cpu, snap.pc, None, [sync],
+                lambda c, pc: seen.append((c.steps, pc)) or False,
+            )
+            assert seen and seen[0][0] == sync
+            assert_same_result(full, result)
+
+    def test_corrupted_return_address_lands_mid_block(self, program):
+        # Freeze the demo at a RET, overwrite the return address on the
+        # stack with a mid-block pc, and run both engines from there: the
+        # fast engine must enter the block interior exactly as the
+        # reference loop does (whatever happens next).
+        from repro.machine.registers import RSP_IDX
+
+        leaders, end_of = discover_blocks(program)
+        mid = next(
+            pc for pc in range(len(program.code))
+            if pc not in leaders and end_of[pc] - pc > 2
+        )
+        at_ret = []
+        cpu = CPU(program)
+        cpu.record_snapshots(1, lambda c, pc: at_ret.append(
+            capture_snapshot(c, pc)) if (
+                not at_ret and program.code[pc][0] == O.RET) else None)
+        cpu.run()
+        assert at_ret, "demo program never returns"
+        snap = at_ret[0]
+        results = []
+        for engine in (ReferenceEngine(), FastEngine()):
+            c = CPU(program)
+            restore_snapshot(c, snap)
+            sp = c.iregs[RSP_IDX]
+            c.mem[sp:sp + 8] = mid.to_bytes(8, "little")
+            results.append(engine.resume(c, snap.pc, budget=snap.steps + 5000))
+        assert_same_result(*results)
 
     @pytest.mark.parametrize("engine_name", list(ENGINE_NAMES))
     def test_budget_on_snapshot_boundary(self, program, engine_name):

@@ -236,7 +236,7 @@ class TestResidencyWeighting:
     def test_weights_cover_every_candidate(self, refine_tool):
         weights = residency_weights(refine_tool)
         assert len(weights) == refine_tool.profile.total_candidates
-        assert (weights > 0).all()
+        assert all(w > 0 for w in weights)
 
     def test_weights_cached(self, refine_tool):
         assert residency_weights(refine_tool) is residency_weights(refine_tool)
@@ -255,11 +255,11 @@ class TestResidencyWeighting:
         flat-cost fi_check pseudos), so the cost spread is visible."""
         uni = PinfiTool(DEMO_SOURCE, "demo")
         wtd = PinfiTool(DEMO_SOURCE, "demo", fault_model="single-bit:weighted=1")
-        import numpy as np
+        from statistics import median as median_of
 
         weights = residency_weights(uni)
-        median = float(np.median(weights))
-        assert weights.max() > median  # the demo program has costly sites
+        median = median_of(weights)
+        assert max(weights) > median  # the demo program has costly sites
 
         def costly_fraction(tool, n=600):
             hits = 0

@@ -289,10 +289,8 @@ class TestSchedulePhases:
 
         log_path = tmp_path / "events.jsonl"
         with EventLog(log_path) as log:
-            tool = make_tool(
-                "REFINE", DEMO_SOURCE, "demo", schedule="trigger"
-            )
-            run_campaign(tool, 8, schedule="trigger", events=log)
+            tool = make_tool("REFINE", DEMO_SOURCE, "demo")
+            run_campaign(tool, 8, events=log)
         with ResultsDB() as db:
             ingest_events(db, log_path)
             info = list_campaigns(db)[0]
@@ -307,9 +305,9 @@ class TestSchedulePhases:
         with ResultsDB() as db:
             ingest_events(db, ground_truth.log)
             for info in list_campaigns(db):
-                # The shared fixture runs index-ordered campaigns; they
-                # still carry a schedule + phase breakdown.
-                assert info.schedule == "index"
+                # The shared fixture runs fast-engine (trigger-ordered)
+                # campaigns; they carry a schedule + phase breakdown.
+                assert info.schedule == "trigger"
                 assert info.phases is not None
 
     def test_pre_column_store_migrates_in_place(self, tmp_path):

@@ -1,17 +1,19 @@
-"""SnapshotEngine unit behaviour: golden chain, hits/misses, telemetry."""
+"""Golden-chain reuse on a retained trigger-ordered scheduler.
+
+The scheduler's cursor records the golden chain of CPU snapshots once and
+every later batch resumes from it; experiments fork off the cursor rather
+than re-executing the golden prefix from step 0.
+"""
 
 from __future__ import annotations
 
-import io
-
 import pytest
 
-from repro.campaign.events import EventLog
-from repro.errors import CampaignError
-from repro.fi.tools import TOOL_CLASSES, RefineTool
-from repro.snapshot import SnapshotStats, resolve_interval
-from repro.snapshot.engine import AUTO_SNAPSHOT_DENSITY, MIN_AUTO_INTERVAL
+from repro.campaign import TriggerScheduler, make_tool, resolve_trigger_order
+from repro.campaign.schedule import chain_interval
 from repro.workloads import get_workload
+
+SEED = 0
 
 
 @pytest.fixture(scope="module")
@@ -19,96 +21,29 @@ def ep_source():
     return get_workload("EP").source
 
 
-class TestIntervalResolution:
-    def test_explicit_interval_wins(self):
-        assert resolve_interval(5000, 1_000_000) == 5000
-
-    def test_auto_scales_with_golden_steps(self):
-        steps = 1_000_000
-        assert resolve_interval(0, steps) == steps // AUTO_SNAPSHOT_DENSITY
-
-    def test_auto_floor_for_tiny_workloads(self):
-        assert resolve_interval(0, 100) == MIN_AUTO_INTERVAL
-
-    def test_negative_interval_rejected(self, ep_source):
-        tool = RefineTool(ep_source, workload="EP")
-        with pytest.raises(CampaignError):
-            tool.enable_snapshots(interval=-1)
-
-
-class TestStats:
-    def test_hit_rate(self):
-        stats = SnapshotStats(hits=3, misses=1)
-        assert stats.hit_rate == 0.75
-        assert SnapshotStats().hit_rate == 0.0
-
-    def test_as_dict_round_trips_fields(self):
-        stats = SnapshotStats(hits=2, misses=1, instructions_skipped=100)
-        d = stats.as_dict()
-        assert d["hits"] == 2 and d["hit_rate"] == round(2 / 3, 4)
-        assert d["instructions_skipped"] == 100
-
-
 class TestEngine:
-    def test_enable_disable(self, ep_source):
-        tool = RefineTool(ep_source, workload="EP")
-        assert tool.snapshots is None
-        engine = tool.enable_snapshots(interval=5000)
-        assert tool.snapshots is engine
-        tool.disable_snapshots()
-        assert tool.snapshots is None
+    def test_golden_recorded_once_per_engine(self, ep_source):
+        tool = make_tool("REFINE", ep_source, "EP")
+        sched = TriggerScheduler(tool)
+        order = [i for _, i in resolve_trigger_order(tool, SEED, range(4))]
 
-    def test_all_misses_when_interval_exceeds_program(self, ep_source):
-        tool = RefineTool(ep_source, workload="EP")
-        scratch = RefineTool(ep_source, workload="EP")
-        tool.enable_snapshots(interval=10**9)
-        runs = [tool.inject(s) for s in range(3)]
-        stats = tool.snapshots.stats
-        assert stats.misses == 3 and stats.hits == 0
-        assert stats.snapshots == 0
-        for s, run in enumerate(runs):
-            ref = scratch.inject(s)
-            assert run.result.output == ref.result.output
-            assert run.result.steps == ref.result.steps
+        list(sched.run_batch(SEED, order[:2]))
+        chain = list(sched._chain)
+        assert chain
+        assert sched.stats.sync_states == len(chain)
+
+        list(sched.run_batch(SEED, order[2:]))
+        # The second batch recorded nothing and kept the very same states.
+        assert sched.stats.sync_states == 0
+        assert len(sched._chain) == len(chain)
+        assert all(a is b for a, b in zip(sched._chain, chain))
 
     def test_hits_skip_golden_prefix(self, ep_source):
-        tool = RefineTool(ep_source, workload="EP")
-        tool.enable_snapshots(interval=2000)
-        for s in range(4):
-            tool.inject(s)
-        stats = tool.snapshots.stats
-        assert stats.hits > 0
-        assert stats.instructions_skipped > 0
-        assert stats.interval == 2000
-
-    def test_golden_recorded_once_per_engine(self, ep_source):
-        tool = RefineTool(ep_source, workload="EP")
-        engine = tool.enable_snapshots(interval=5000)
-        assert engine.golden() is engine.golden()
-
-    def test_store_shared_between_engines(self, ep_source, tmp_path):
-        first = RefineTool(ep_source, workload="EP")
-        first.enable_snapshots(interval=5000, store_dir=tmp_path)
-        first.inject(0)
-        assert first.snapshots.stats.golden_reused is False
-
-        second = RefineTool(ep_source, workload="EP")
-        second.enable_snapshots(interval=5000, store_dir=tmp_path)
-        second.inject(0)
-        assert second.snapshots.stats.golden_reused is True
-
-    def test_events_emitted(self, ep_source):
-        stream = io.StringIO()
-        events = EventLog(stream=stream)
-        tool = RefineTool(ep_source, workload="EP")
-        tool.enable_snapshots(interval=5000, events=events)
-        tool.inject(0)
-        names = [
-            line.split('"event": "')[1].split('"')[0]
-            for line in stream.getvalue().splitlines()
-        ]
-        assert "snapshot_golden" in names
-
-    @pytest.mark.parametrize("tool_name", sorted(TOOL_CLASSES))
-    def test_every_tool_has_a_counter(self, tool_name):
-        assert TOOL_CLASSES[tool_name]._SNAPSHOT_COUNTER is not None
+        tool = make_tool("REFINE", ep_source, "EP")
+        sched = TriggerScheduler(tool)
+        records = list(sched.run_batch(SEED, range(4)))
+        stats = sched.stats
+        assert all(rec.snapshot_hit for rec in records)
+        assert stats.fork_hits > 0
+        assert stats.prefix_steps_saved > 0
+        assert sched._interval == chain_interval(tool.profile.steps)

@@ -1,21 +1,27 @@
-"""Equivalence sweep: snapshot campaigns are bit-identical to from-scratch.
+"""Equivalence sweep: campaigns served from the golden chain are
+bit-identical to from-scratch runs.
 
-The correctness bar of the subsystem (and the property the paper's speed
-numbers silently assume): enabling ``--snapshot-interval`` may change *how
-fast* a campaign runs, never *what* it computes.  Tier-1 covers two
-workloads cell by cell, record by record; ``-m slow`` runs the full matrix
-and a LocalCluster with concurrent workers sharing one store.
+The trigger scheduler's only resume mechanism is its golden chain: the
+copy-on-write snapshots its first cursor records, from which every later
+batch of a retained scheduler restarts (usually mid-block).  Resuming may
+change *how fast* a campaign runs, never *what* it computes.  Tier-1
+covers two workloads cell by cell, record by record, against the
+reference engine's from-scratch runs; ``-m slow`` runs the full matrix and
+a LocalCluster whose workers retain one chain per campaign spec.
 """
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
-from repro.campaign import run_campaign, run_matrix
+from repro.campaign import (
+    TriggerScheduler,
+    resolve_trigger_order,
+    run_campaign,
+    run_matrix,
+)
 from repro.campaign.parallel import run_campaign_parallel
-from repro.campaign.runner import make_tool
+from repro.campaign.runner import DEFAULT_SEED, make_tool
 from repro.fi.tools import TOOL_ORDER
 from repro.workloads import get_workload, workload_names
 
@@ -27,9 +33,23 @@ def _source(name):
     return get_workload(name).source
 
 
+def _scratch(tool_name, workload, n=N):
+    """From-scratch per-index campaign on the reference engine."""
+    return run_campaign(
+        make_tool(tool_name, _source(workload), workload, engine="reference"),
+        n, keep_records=True,
+    )
+
+
 def assert_records_identical(a, b, context=""):
-    assert len(a.records) == len(b.records), context
-    for ra, rb in zip(a.records, b.records):
+    assert_same_records(a.records, b.records, context)
+    assert a.counts == b.counts, context
+    assert a.total_steps == b.total_steps, context
+
+
+def assert_same_records(a, b, context=""):
+    assert len(a) == len(b), context
+    for ra, rb in zip(a, b):
         assert ra.index == rb.index, context
         assert ra.seed == rb.seed, (context, ra.index)
         assert ra.outcome == rb.outcome, (context, ra.index)
@@ -40,88 +60,93 @@ def assert_records_identical(a, b, context=""):
         assert ra.cycles == pytest.approx(rb.cycles, abs=1e-9), (
             context, ra.index,
         )
-    assert a.counts == b.counts, context
-    assert a.total_steps == b.total_steps, context
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
 @pytest.mark.parametrize("tool_name", TOOL_ORDER)
 def test_sequential_snapshot_equals_scratch(workload, tool_name):
-    source = _source(workload)
-    scratch = make_tool(tool_name, source, workload)
-    snapped = make_tool(tool_name, source, workload, snapshot_interval=0)
-    ref = run_campaign(scratch, N, keep_records=True)
-    out = run_campaign(snapped, N, keep_records=True)
-    assert_records_identical(ref, out, f"{workload}/{tool_name}")
-    stats = snapped.snapshots.stats
-    assert stats.hits + stats.misses == N
-    assert stats.hits > 0  # auto interval must actually serve runs
+    """One experiment per batch on one retained scheduler: every batch
+    after the first resumes from a golden-chain snapshot."""
+    ref = _scratch(tool_name, workload)
+    tool = make_tool(tool_name, _source(workload), workload)
+    sched = TriggerScheduler(tool)
+    order = [i for _, i in resolve_trigger_order(tool, DEFAULT_SEED, range(N))]
+    records = {}
+    cursor_steps = []
+    for index in order:
+        (rec,) = sched.run_batch(DEFAULT_SEED, [index])
+        records[index] = rec
+        cursor_steps.append(sched.stats.cursor_steps)
+    assert cursor_steps[0] == tool.profile.steps
+    # Later batches run the cursor only from the nearest chain state.
+    assert sum(cursor_steps[1:]) < (N - 1) * tool.profile.steps
+    out = [records[i] for i in range(N)]
+    assert all(rec.snapshot_hit for rec in out)
+    assert_same_records(ref.records, out, f"{workload}/{tool_name}")
 
 
 def test_parallel_snapshot_equals_scratch(tmp_path):
     workload, tool_name = "EP", "REFINE"
-    source = _source(workload)
-    ref = run_campaign(make_tool(tool_name, source, workload), N,
-                       keep_records=True)
+    ref = _scratch(tool_name, workload)
     out = run_campaign_parallel(
-        tool_name, source, workload, N, workers=2, keep_records=True,
-        snapshot_interval=0, snapshot_dir=tmp_path / "snaps",
-        chunk_size=2,
+        tool_name, _source(workload), workload, N, workers=2,
+        keep_records=True, chunk_size=2, cache_dir=tmp_path / "decoded",
     )
     assert_records_identical(ref, out, "parallel EP/REFINE")
-    assert (tmp_path / "snaps").is_dir()
+    assert list((tmp_path / "decoded").glob("*.marshal"))
 
 
-def test_matrix_snapshot_dir_defaults_under_checkpoints(tmp_path):
+def test_matrix_decoded_cache_under_checkpoints(tmp_path):
     source = _source("EP")
-    ref = run_matrix({"EP": source}, ["REFINE"], N, keep_records=True)
+    ref = run_matrix({"EP": source}, ["REFINE"], N, keep_records=True,
+                     engine="reference")
     out = run_matrix(
         {"EP": source}, ["REFINE"], N, keep_records=True,
-        snapshot_interval=0, checkpoint_dir=tmp_path,
+        checkpoint_dir=tmp_path,
     )
     assert_records_identical(
         ref[("EP", "REFINE")], out[("EP", "REFINE")], "matrix EP/REFINE"
     )
-    assert (tmp_path / "snapshots").is_dir()
+    assert list((tmp_path / "decoded").glob("*.marshal"))
 
 
 @pytest.mark.slow
 def test_full_matrix_snapshot_equals_scratch():
     sources = {w: _source(w) for w in workload_names()}
-    ref = run_matrix(sources, TOOL_ORDER, 24, keep_records=True)
-    out = run_matrix(sources, TOOL_ORDER, 24, keep_records=True,
-                     snapshot_interval=0)
+    ref = run_matrix(sources, TOOL_ORDER, 24, keep_records=True,
+                     engine="reference")
+    out = run_matrix(sources, TOOL_ORDER, 24, keep_records=True)
     for key in ref:
         assert_records_identical(ref[key], out[key], str(key))
 
 
 @pytest.mark.slow
-def test_local_cluster_shares_one_golden_run(tmp_path):
-    """Concurrent dist workers race on the store; the campaign result must
-    match a local run and the store must hold exactly one chain per cell
-    with no lock or temp debris."""
+def test_local_cluster_workers_retain_golden_chains(tmp_path):
+    """Concurrent dist workers lease small tasks of two cells; the result
+    must match a from-scratch run, and each worker records a golden chain
+    at most once per cell — every later lease resumes from it."""
+    from repro.campaign import EventLog, read_events
     from repro.dist import CampaignSpec
     from repro.dist.local import LocalCluster
 
     source = _source("EP")
-    ref = run_matrix({"EP": source}, ["REFINE", "PINFI"], 16)
-    snap_dir = tmp_path / "snaps"
+    ref = run_matrix({"EP": source}, ["REFINE", "PINFI"], 16,
+                     engine="reference")
     specs = [
-        CampaignSpec(workload="EP", source=source, tool_name=t, n=16,
-                     snapshot_interval=0)
+        CampaignSpec(workload="EP", source=source, tool_name=t, n=16)
         for t in ("REFINE", "PINFI")
     ]
-    with LocalCluster(specs, workers=3, chunk_size=3,
-                      snapshot_dir=snap_dir) as cluster:
+    log_path = tmp_path / "events.jsonl"
+    log = EventLog(log_path)
+    with LocalCluster(specs, workers=3, chunk_size=3, events=log) as cluster:
         results = cluster.results(timeout=300)
+    log.close()
     for key, res in results.items():
         assert res.counts == ref[key].counts, key
         assert res.total_steps == ref[key].total_steps, key
-    # The fast engine keeps its decoded-translation cache alongside the
-    # snapshot cells; only fingerprint directories count as cells.
-    cells = [c for c in os.listdir(snap_dir) if c != "decoded"]
-    assert len(cells) == 2  # one fingerprint per (binary, tool)
-    for cell in cells:
-        names = os.listdir(snap_dir / cell)
-        assert not [n for n in names if n.endswith(".lock") or ".tmp." in n]
-        assert sum(1 for n in names if n.endswith(".snap")) == 1
+    recorded = {}
+    for event in read_events(log_path):
+        if event["event"] == "scheduler_stats" and event["sync_states"]:
+            cell = (event["worker"], event["tool"])
+            recorded[cell] = recorded.get(cell, 0) + 1
+    assert recorded and all(k == 1 for k in recorded.values()), recorded
