@@ -34,7 +34,8 @@ def main() -> int:
     parser.add_argument("seed", nargs="?", default=None,
                         help="base seed (accepts 0x... hex)")
     parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes per campaign cell")
+                        help="local worker processes leasing tasks from "
+                        "one loopback coordinator (1 = sequential)")
     parser.add_argument("--checkpoint-dir", default=None,
                         help="per-cell checkpoints; rerun to resume")
     parser.add_argument("--events", default=None,

@@ -25,7 +25,6 @@ from repro.campaign.io import (
     result_to_dict,
     save_matrix,
 )
-from repro.campaign.parallel import run_campaign_parallel
 from repro.campaign.results import CampaignResult, ExperimentRecord
 from repro.campaign.runner import (
     DEFAULT_SEED,
@@ -36,6 +35,7 @@ from repro.campaign.runner import (
     run_campaign,
     run_experiment,
     run_matrix,
+    run_part,
     run_records,
 )
 from repro.campaign.schedule import (
@@ -66,7 +66,6 @@ __all__ = [
     "result_from_dict",
     "result_to_dict",
     "save_matrix",
-    "run_campaign_parallel",
     "OUTCOME_ORDER",
     "Outcome",
     "classify",
@@ -80,6 +79,7 @@ __all__ = [
     "run_campaign",
     "run_experiment",
     "run_matrix",
+    "run_part",
     "run_records",
     "PhaseTimes",
     "SchedulerStats",

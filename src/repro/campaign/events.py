@@ -33,15 +33,14 @@ event                     extra fields
                           tag-encoded ``value_before``/``value_after``,
                           plus the fault-model fields ``model``, ``bits``,
                           ``address`` and ``dwell``).
-                          The sequential runner adds ``wall_s``; the
-                          parallel runner re-emits these per chunk (tagged
-                          ``chunk``), the distributed coordinator per task
-                          (tagged ``task``, ``worker``) — consumers counting
-                          experiments must pick one family.  This is the
-                          stream :mod:`repro.resultsdb` ingests.
+                          Two families: the sequential runner emits one
+                          per experiment as it finishes (adding
+                          ``wall_s``); the coordinator behind ``-j``,
+                          ``--dist`` and the service re-emits them per
+                          accepted task (tagged ``task``, ``worker``) — a
+                          stream holds one family or the other.  This is
+                          the stream :mod:`repro.resultsdb` ingests.
 ``checkpoint``            ``path``, ``completed``, ``n``
-``worker_start``          ``chunk``, ``size`` (parallel runner)
-``chunk_done``            ``chunk``, ``size``, ``completed``, ``n``
 ``campaign_finish``       ``workload``, ``tool``, ``counts``,
                           ``total_cycles``, ``total_steps``,
                           ``total_candidates``, ``golden_output`` (the
@@ -65,13 +64,12 @@ event                     extra fields
                           :mod:`repro.campaign.schedule`), one batch each:
                           cumulative for the campaign from the sequential
                           runner (emitted after the cursor and again after
-                          the last tail), per-chunk (``chunk``) from
-                          parallel workers, per-task (``task``,
-                          ``worker``) from the coordinator
+                          the last tail), per-task (``task``, ``worker``)
+                          from the coordinator
 ========================  =====================================================
 
-The distributed coordinator (:mod:`repro.dist`) emits its own family on
-top — one stream records the whole cluster campaign:
+The coordinator (:mod:`repro.dist`; ``-j N``, ``--dist`` and the service)
+emits its own family on top — one stream records the whole campaign:
 
 ========================  =====================================================
 event                     extra fields
@@ -176,7 +174,7 @@ class CampaignStats:
     """Running statistics over a campaign's experiment stream.
 
     Feed it one :meth:`note` per finished experiment (or a bulk
-    :meth:`note_batch` from a parallel chunk) and it tracks outcome
+    :meth:`note_batch` from a leased task) and it tracks outcome
     frequencies, throughput and an ETA.  ``clock`` defaults to
     :func:`time.monotonic`; inject a fake for deterministic tests.
     """
@@ -214,8 +212,8 @@ class CampaignStats:
 
     def note_scheduler(self, fields: dict, accumulate: bool = False) -> None:
         """Fold one ``scheduler_stats`` event in.  Sequential-runner events
-        are cumulative (replace); parallel per-chunk and distributed
-        per-task events are independent schedulers (``accumulate=True``)."""
+        are cumulative (replace); per-task events are independent
+        schedulers (``accumulate=True``)."""
         forks = int(fields.get("forks", 0))
         rejoins = int(fields.get("rejoins", 0))
         saved = int(fields.get("prefix_steps_saved", 0)) + int(

@@ -113,8 +113,8 @@ def _fault_from_dict(data: dict | None) -> FaultRecord | None:
 def experiment_event_fields(record: ExperimentRecord) -> dict:
     """The ``experiment`` telemetry event's per-record payload.
 
-    One definition shared by the sequential runner, the parallel runner and
-    the distributed coordinator, so every execution mode writes the same
+    One definition shared by the sequential runner and the coordinator
+    (``-j``, ``--dist``, service), so every execution mode writes the same
     event schema and :mod:`repro.resultsdb` can ingest any stream.
     """
     return {

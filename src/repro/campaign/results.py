@@ -51,8 +51,8 @@ class CampaignResult:
 
     def add(self, record: ExperimentRecord, keep_record: bool = False) -> None:
         """Tally one finished experiment (shared by the sequential runner,
-        the parallel workers and checkpoint resume, so all three accumulate
-        identically)."""
+        the workers' :func:`~repro.campaign.runner.run_part` and checkpoint
+        resume, so all three accumulate identically)."""
         self.counts[record.outcome] = self.counts.get(record.outcome, 0) + 1
         self.total_cycles += record.cycles
         self.total_steps += record.steps

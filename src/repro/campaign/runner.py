@@ -135,6 +135,40 @@ def run_records(
     return records, phases, None
 
 
+def runner_for(tool: FITool) -> tuple[FITool, TriggerScheduler | None]:
+    """A retainable ``(tool, scheduler)`` pair (no scheduler for the
+    per-index path)."""
+    return tool, TriggerScheduler(tool) if uses_scheduler(tool) else None
+
+
+def run_part(
+    tool: FITool,
+    base_seed: int,
+    indices,
+    scheduler: TriggerScheduler | None = None,
+) -> CampaignResult:
+    """Run ``indices`` of a campaign into one partial result (one leased
+    task of a worker).
+
+    Per-experiment records are always collected — the coordinator needs
+    them to emit ``experiment`` telemetry events and feed write-through
+    result sinks (:mod:`repro.resultsdb`) — and strips them after emission
+    when the campaign did not ask for ``keep_records``.  This batch's phase
+    and scheduler breakdowns ride back on the result (see
+    :mod:`repro.campaign.io`) for aggregation.
+    """
+    result = _fresh_result(tool, len(indices))
+    records, phases, scheduler = run_records(
+        tool, base_seed, indices, scheduler=scheduler
+    )
+    for rec in records:
+        result.add(rec, keep_record=True)
+    result.phase_times = phases.as_dict()
+    if scheduler is not None:
+        result.scheduler_stats = scheduler.stats.as_dict()
+    return result
+
+
 def _fresh_result(tool: FITool, n: int) -> CampaignResult:
     profile = tool.profile  # compiles + profiles on first access
     return CampaignResult(
@@ -318,6 +352,8 @@ def run_matrix(
     events: EventLog | None = None,
     engine: str | None = None,
     fault_model: str | None = None,
+    opcode_faults: float = 0.0,
+    lease_timeout: float | None = None,
 ) -> dict[tuple[str, str], CampaignResult]:
     """Run the full (workload x tool) campaign matrix, like the paper's
     44,856-experiment evaluation (14 apps x 3 tools x 1068 samples).
@@ -327,45 +363,65 @@ def run_matrix(
     persist them).  ``checkpoint_dir`` gives every cell its own checkpoint
     file (and persists decoded translations under
     ``<checkpoint_dir>/decoded``); re-running the same matrix resumes
-    unfinished cells and skips finished ones.  ``workers > 1`` runs each
-    cell with the multi-process runner (identical results, any worker
-    count).
+    unfinished cells and skips finished ones.
+
+    ``workers > 1`` serves every cell from one loopback
+    :class:`repro.dist.Coordinator` to that many local worker processes
+    (:func:`repro.dist.local.run_local_workers`; ``lease_timeout`` is the
+    coordinator's).  Results are identical to the sequential run whatever
+    the worker count, the matrix comes back in ``sources`` x
+    ``tool_names`` order, and ``progress(workload, tool, done, n)`` fires
+    after every accepted task instead of every experiment.
     """
+    if n <= 0:
+        raise CampaignError("campaign needs n >= 1 experiments")
+    if workers <= 0:
+        raise CampaignError("workers must be positive")
+    if checkpoint_every <= 0:
+        raise CampaignError("checkpoint_every must be positive")
     cache_dir = None
     if checkpoint_dir is not None:
         cache_dir = Path(checkpoint_dir) / "decoded"
-    results: dict[tuple[str, str], CampaignResult] = {}
-    for workload, source in sources.items():
-        for tool_name in tool_names:
-            cb = None
-            if progress is not None:
-                cb = lambda i, total, w=workload, t=tool_name: progress(w, t, i, total)
-            ckpt_path = None
-            if checkpoint_dir is not None:
-                ckpt_path = matrix_checkpoint_path(checkpoint_dir, workload, tool_name)
-            if workers > 1:
-                from repro.campaign.parallel import run_campaign_parallel
+    # Building a tool validates its configuration without compiling, so
+    # every cell fails fast here, before the first one runs.  A cell's
+    # tool (compiled by its run) is dropped once the cell is done.
+    tools = {
+        (workload, tool_name): make_tool(
+            tool_name, source, workload, config, opt_level,
+            opcode_faults=opcode_faults, engine=engine,
+            fault_model=fault_model, cache_dir=cache_dir,
+        )
+        for workload, source in sources.items()
+        for tool_name in tool_names
+    }
+    if workers > 1:
+        from repro.dist.local import run_local_workers
+        from repro.dist.protocol import CampaignSpec
 
-                results[(workload, tool_name)] = run_campaign_parallel(
-                    tool_name, source, workload, n, workers=workers,
-                    base_seed=base_seed, config=config, opt_level=opt_level,
-                    keep_records=keep_records, progress=cb,
-                    checkpoint_path=ckpt_path,
-                    checkpoint_every=checkpoint_every, events=events,
-                    engine=engine, fault_model=fault_model,
-                    cache_dir=cache_dir,
-                )
-            else:
-                tool = make_tool(
-                    tool_name, source, workload, config, opt_level,
-                    engine=engine, fault_model=fault_model,
-                    cache_dir=cache_dir,
-                )
-                results[(workload, tool_name)] = run_campaign(
-                    tool, n, base_seed, keep_records=keep_records,
-                    progress=cb, checkpoint_path=ckpt_path,
-                    checkpoint_every=checkpoint_every, events=events,
-                )
+        specs = [
+            CampaignSpec.for_tool(tool, n, base_seed, keep_records)
+            for tool in tools.values()
+        ]
+        return run_local_workers(
+            specs, workers, progress=progress,
+            checkpoint_dir=checkpoint_dir,
+            checkpoint_every=checkpoint_every, events=events,
+            lease_timeout=lease_timeout, cache_dir=cache_dir,
+        )
+    results: dict[tuple[str, str], CampaignResult] = {}
+    for workload, tool_name in list(tools):
+        tool = tools.pop((workload, tool_name))
+        cb = None
+        if progress is not None:
+            cb = lambda i, total, w=workload, t=tool_name: progress(w, t, i, total)
+        ckpt_path = None
+        if checkpoint_dir is not None:
+            ckpt_path = matrix_checkpoint_path(checkpoint_dir, workload, tool_name)
+        results[(workload, tool_name)] = run_campaign(
+            tool, n, base_seed, keep_records=keep_records,
+            progress=cb, checkpoint_path=ckpt_path,
+            checkpoint_every=checkpoint_every, events=events,
+        )
     return results
 
 

@@ -39,7 +39,7 @@ process at the injection point.  This module combines both ideas:
 Bit-identity bar: every :class:`~repro.campaign.results.ExperimentRecord`
 field except ``snapshot_hit`` (a fast-path provenance flag) matches the
 from-scratch per-index run on the reference engine; ``total_cycles``
-matches to float summation order (same bar as the parallel runner).
+matches to float summation order (same bar as the ``-j``/dist runs).
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ class PhaseTimes:
         }
 
     def accumulate(self, fields: dict) -> None:
-        """Fold another breakdown (e.g. a parallel chunk's) into this one."""
+        """Fold another breakdown (e.g. a leased task's) into this one."""
         self.translate_s += fields.get("translate_s", 0.0)
         self.prefix_s += fields.get("prefix_s", 0.0)
         self.fork_s += fields.get("fork_s", 0.0)
@@ -149,8 +149,8 @@ class SchedulerStats:
         }
 
     def accumulate(self, fields: dict) -> None:
-        """Fold another scheduler's counters (e.g. a parallel chunk's or a
-        dist worker's) into this one."""
+        """Fold another scheduler's counters (e.g. a leased task's) into
+        this one."""
         for key, val in fields.items():
             if hasattr(self, key):
                 setattr(self, key, getattr(self, key) + val)
@@ -172,8 +172,8 @@ def resolve_trigger_order(
 ) -> list[tuple[int, int]]:
     """``(trigger, index)`` pairs for a batch, sorted by ``(trigger, index)``.
 
-    Shared by the scheduler, the parallel runner's chunker and the dist
-    coordinator's sharder, so every layer agrees on the timeline order.
+    Shared by the scheduler and the coordinator's sharder (``-j`` and
+    ``--dist``), so every layer agrees on the timeline order.
     """
     pairs = []
     for index in indices:
@@ -581,10 +581,9 @@ class TriggerScheduler:
 class RetainedSchedulers:
     """LRU of ``(tool, scheduler)`` pairs, one per campaign spec.
 
-    Workers and ``-j`` pool processes serve many batches of the same
-    campaign; keeping the scheduler keeps its golden chain, so only the
-    first batch runs the full cursor.  Each worker (thread) and each pool
-    process owns its own instance.
+    Workers serve many batches of the same campaign; keeping the scheduler
+    keeps its golden chain, so only the first batch runs the full cursor.
+    Each worker (thread or process) owns its own instance.
     """
 
     def __init__(self, capacity: int = RETAINED_SCHEDULERS) -> None:

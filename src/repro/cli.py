@@ -66,9 +66,9 @@ class _LiveTelemetry(EventLog):
     """Event sink that optionally persists JSONL *and* renders live progress.
 
     Consumes the campaign event stream (see :mod:`repro.campaign.events`):
-    per-experiment events from the sequential runner, per-chunk events from
-    the parallel runner, per-task events (with per-worker throughput) from
-    the distributed coordinator.  On a TTY the progress line updates in
+    per-experiment events from the sequential runner, per-task events
+    (with per-worker throughput) from the coordinator behind ``-j`` and
+    ``--dist``.  On a TTY the progress line updates in
     place; otherwise a summary line is printed periodically and at
     completion.
     """
@@ -112,24 +112,17 @@ class _LiveTelemetry(EventLog):
                     file=self._out,
                 )
         elif event == "experiment" and self._stats is not None:
-            # Parallel chunks and distributed tasks re-emit per-experiment
-            # events (tagged with ``chunk``/``task``) for result sinks; the
-            # progress counter already folds those in via chunk_done /
-            # task_done, so only count the sequential runner's events here.
-            if "chunk" not in fields and "task" not in fields:
+            # Coordinator tasks re-emit per-experiment events (tagged with
+            # ``task``) for result sinks; the progress counter already
+            # folds those in via task_done, so only count the sequential
+            # runner's events here.
+            if "task" not in fields:
                 self._stats.note(Outcome(fields["outcome"]))
                 self._render()
-        elif event == "chunk_done" and self._stats is not None:
-            counts = {Outcome(k): v for k, v in fields.get("counts", {}).items()}
-            self._stats.note_batch(counts)
-            self._render()
         elif event == "scheduler_stats" and self._stats is not None:
             # Sequential-runner events are cumulative for the campaign;
-            # per-chunk (parallel) and per-task (dist) events are
-            # independent schedulers and accumulate.
-            self._stats.note_scheduler(
-                fields, accumulate="chunk" in fields or "task" in fields
-            )
+            # per-task events are independent schedulers and accumulate.
+            self._stats.note_scheduler(fields, accumulate="task" in fields)
         elif event == "campaign_finish" and self._stats is not None:
             self._render(final=True)
             self._print_phases(fields)
@@ -286,7 +279,8 @@ def campaign_main(argv: list[str] | None = None) -> int:
     parser.add_argument("--fi-instrs", default="all",
                         choices=["stack", "arithm", "mem", "all"])
     parser.add_argument("-j", "--workers", type=int, default=1,
-                        help="worker processes per campaign cell "
+                        help="local worker processes leasing tasks of "
+                        "every cell from one loopback coordinator "
                         "(1 = sequential; results are identical)")
     parser.add_argument("--dist", metavar="HOST:PORT", default=None,
                         help="coordinator mode: listen here and serve the "
@@ -294,7 +288,7 @@ def campaign_main(argv: list[str] | None = None) -> int:
                         "identical to a local run)")
     parser.add_argument("--lease-timeout", type=float, default=60.0,
                         help="seconds without a heartbeat before a "
-                        "distributed task is requeued (--dist only)")
+                        "leased task is requeued (--dist and -j N)")
     parser.add_argument("--submit", metavar="HOST:PORT", default=None,
                         help="submit this campaign to a running "
                         "refine-service instead of executing it; prints the "
@@ -369,6 +363,18 @@ def campaign_main(argv: list[str] | None = None) -> int:
 
     if args.submit is not None:
         return _submit_to_service(args, sources, tools)
+    if args.workers < 1:
+        print("refine-campaign: error: -j must be >= 1", file=sys.stderr)
+        return 2
+    if args.dist is not None and args.workers > 1:
+        print(
+            f"refine-campaign: error: --dist serves the campaign to "
+            f"refine-worker processes and runs none itself; drop -j and "
+            f"start the workers with: refine-worker HOST:PORT "
+            f"-j {args.workers}",
+            file=sys.stderr,
+        )
+        return 2
 
     try:
         moe = margin_of_error(args.samples)
@@ -403,6 +409,7 @@ def campaign_main(argv: list[str] | None = None) -> int:
                 events=telemetry,
                 engine=args.engine,
                 fault_model=args.fault_model,
+                lease_timeout=args.lease_timeout,
             )
         if db is not None:
             # The sink streamed every experiment; fill in the metadata the
@@ -572,8 +579,8 @@ def worker_main(argv: list[str] | None = None) -> int:
                         help="coordinator address (from refine-campaign "
                         "--dist)")
     parser.add_argument("-j", "--procs", type=int, default=1,
-                        help="local worker processes; each leased task is "
-                        "split across them")
+                        help="worker processes to run, each with its own "
+                        "connection (1 = this process)")
     parser.add_argument("--name", default=None,
                         help="worker name for logs (default: assigned by "
                         "the coordinator)")
@@ -588,7 +595,7 @@ def worker_main(argv: list[str] | None = None) -> int:
     parser.add_argument("-q", "--quiet", action="store_true")
     args = parser.parse_args(argv)
 
-    from repro.dist import Worker, parse_address
+    from repro.dist import parse_address
 
     try:
         host, port = parse_address(args.address)
@@ -602,15 +609,37 @@ def worker_main(argv: list[str] | None = None) -> int:
         print("refine-worker: error: --reconnect-window must be >= 0",
               file=sys.stderr)
         return 2
+    worker_args = (host, port, args.name, args.reconnect_window, args.quiet)
+    if args.procs == 1:
+        return _run_worker(*worker_args)
+    import signal
+
+    from repro.dist.local import start_processes, stop_processes
+
+    # SIGTERM unwinds through the finally below, so no worker outlives us.
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(1))
+    procs = start_processes(_run_worker, [worker_args] * args.procs)
+    try:
+        for proc in procs:
+            proc.join()
+    finally:
+        stop_processes(procs)
+    return 0 if all(proc.exitcode == 0 for proc in procs) else 1
+
+
+def _run_worker(host, port, name, reconnect_window, quiet) -> int:
+    """One ``refine-worker`` worker loop (this process, or one of ``-j N``
+    worker processes); returns its exit status."""
+    from repro.dist import Worker
+
     try:
         stats = Worker(
-            host, port, procs=args.procs, name=args.name,
-            reconnect_window=args.reconnect_window,
+            host, port, name=name, reconnect_window=reconnect_window,
         ).run()
-    except (DistError, ReproError) as exc:
+    except ReproError as exc:
         print(f"refine-worker: error: {exc}", file=sys.stderr)
         return 1
-    if not args.quiet:
+    if not quiet:
         print(
             f"# {stats.name}: ran {stats.experiments} experiments in "
             f"{stats.tasks} tasks ({stats.duplicates} duplicate(s), "

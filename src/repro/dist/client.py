@@ -30,7 +30,14 @@ def parse_address(address: str) -> tuple[str, int]:
 
 
 class CoordinatorClient:
-    """One worker's connection to a campaign coordinator."""
+    """One worker's connection to a campaign coordinator.
+
+    Every reply has a deadline: the dial and the hello/welcome exchange
+    get ``connect_timeout``, every later reply the larger of that and the
+    coordinator's lease timeout (a coordinator that cannot answer within a
+    lease has lost the lease anyway).  A missed deadline raises
+    :class:`DistConnectionError`, like a torn connection.
+    """
 
     def __init__(
         self,
@@ -38,13 +45,11 @@ class CoordinatorClient:
         port: int,
         *,
         name: str | None = None,
-        procs: int = 1,
         connect_timeout: float = 10.0,
     ) -> None:
         self._host = host
         self._port = port
         self._requested_name = name
-        self._procs = procs
         self._connect_timeout = connect_timeout
         self._sock: socket.socket | None = None
         #: coordinator-assigned worker name (after :meth:`connect`)
@@ -59,21 +64,24 @@ class CoordinatorClient:
             self._sock = socket.create_connection(
                 (self._host, self._port), timeout=self._connect_timeout
             )
-            self._sock.settimeout(None)
         except OSError as exc:
             raise DistConnectionError(
                 f"cannot reach coordinator at "
                 f"{self._host}:{self._port}: {exc}"
             ) from exc
+        # ``procs`` stays in the hello for older coordinators; a worker is
+        # always one process.
         welcome = self._call({
-            "type": "hello", "name": self._requested_name,
-            "procs": self._procs,
+            "type": "hello", "name": self._requested_name, "procs": 1,
         })
         if welcome["type"] != "welcome":
             raise DistError(f"expected welcome, got {welcome['type']!r}")
         self.name = welcome["worker"]
         self.heartbeat_s = float(welcome["heartbeat_s"])
         self.lease_timeout_s = float(welcome["lease_timeout_s"])
+        self._sock.settimeout(
+            max(self._connect_timeout, self.lease_timeout_s)
+        )
         return welcome
 
     def request_task(self) -> dict:

@@ -111,7 +111,7 @@ def trigger_order_indices(
     single cursor.  Reference-engine cells run from scratch per index, so
     their order is left alone.
     """
-    tool = spec.slice_task(()).make_tool()
+    tool = spec.make_tool()
     if not uses_scheduler(tool):
         return remaining
     return [
@@ -286,19 +286,24 @@ class Coordinator:
         self._accept_thread.start()
         return self.address
 
+    def settled(self) -> bool:
+        """``True`` once the run finished, failed or stopped — when
+        :meth:`wait` would return or raise without blocking."""
+        with self._lock:
+            return self._is_settled()
+
     def wait(
         self, timeout: float | None = None
     ) -> dict[tuple[str, str], CampaignResult]:
-        """Block until every cell completes; returns the result matrix.
+        """Block until every cell completes; returns the result matrix in
+        spec order (not completion order).
 
         Raises the campaign's fatal error if one occurred, or
         :class:`DistError` on timeout / external :meth:`stop`.
         """
         with self._done_cv:
             finished = self._done_cv.wait_for(
-                lambda: self._error is not None or self._stopped
-                or len(self._results) == len(self._cells),
-                timeout=timeout,
+                self._is_settled, timeout=timeout
             )
             if self._error is not None:
                 raise self._error
@@ -311,7 +316,7 @@ class Coordinator:
                         "(checkpoints saved)"
                     )
                 raise DistError("coordinator stopped before completion")
-            return dict(self._results)
+            return {key: self._results[key] for key in self._cells}
 
     def run(
         self, timeout: float | None = None
@@ -585,6 +590,12 @@ class Coordinator:
             )
         self.stop()
 
+    def _is_settled(self) -> bool:
+        return (
+            self._error is not None or self._stopped
+            or len(self._results) == len(self._cells)
+        )
+
     def _emit(self, event: str, **fields) -> None:
         if self._events is not None:
             self._events.emit(event, **fields)
@@ -850,6 +861,7 @@ class Coordinator:
             and cell.since_checkpoint >= self._checkpoint_every
         ):
             self._save_cell(cell)
+        self._on_task_done(cell)
         if len(cell.completed) == cell.spec.n:
             self._finish_cell(cell)
         return {"type": "ok", "duplicate": False}
@@ -1017,6 +1029,10 @@ class Coordinator:
         )
         self._on_cell_complete(cell)
         self._maybe_finish_all()
+
+    def _on_task_done(self, cell: _Cell) -> None:
+        """Hook: one task's part was accepted into ``cell`` (lock held).
+        The local ``-j`` runner uses this to report progress."""
 
     def _on_cell_complete(self, cell: _Cell) -> None:
         """Hook: one cell just produced its final merged result (lock

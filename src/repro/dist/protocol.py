@@ -13,6 +13,7 @@ worker.  Message types (``type`` field):
 worker → coordinator
 ==================  =========================================================
 ``hello``           ``name`` (requested worker name or ``None``), ``procs``
+                    (always 1: each worker process has its own connection)
 ``request``         ask for a task lease
 ``heartbeat``       keep this worker's leases alive
 ``result``          ``task_id``, ``part`` (a serialized
@@ -68,11 +69,10 @@ import socket
 import struct
 from dataclasses import InitVar, dataclass, fields
 
-from repro.campaign.parallel import SliceTask
-from repro.campaign.runner import DEFAULT_SEED
+from repro.campaign.runner import DEFAULT_SEED, make_tool
 from repro.errors import DistConnectionError, DistError
-from repro.fi.config import INSTR_CLASSES
-from repro.fi.tools import TOOL_CLASSES
+from repro.fi.config import INSTR_CLASSES, FIConfig
+from repro.fi.tools import TOOL_CLASSES, FITool
 
 #: Version 2 added the service control plane (``submit``/``status``/
 #: ``list``/``cancel``/``drain``/``fetch``).  The worker-facing data plane
@@ -171,7 +171,7 @@ class CampaignSpec:
     """One campaign cell's full parameter set — everything a worker needs to
     reproduce the coordinator's campaign bit-for-bit.
 
-    Identical in content to the sequential/parallel runner's configuration:
+    Identical in content to the sequential runner's configuration:
     an experiment is a pure function of ``(base_seed, workload, tool_name,
     index)``, so any worker handed a spec plus an index range computes
     exactly what a local run would.
@@ -248,24 +248,31 @@ class CampaignSpec:
         except (KeyError, TypeError) as exc:
             raise DistError(f"malformed campaign spec: {exc}") from exc
 
-    def slice_task(
-        self, indices: tuple[int, ...], chunk: int = 0
-    ) -> SliceTask:
-        """The :class:`SliceTask` that runs ``indices`` of this campaign
-        through the shared slice machinery."""
-        return SliceTask(
-            tool_name=self.tool_name,
-            source=self.source,
-            workload=self.workload,
-            opt_level=self.opt_level,
-            fi_enabled=self.fi_enabled,
-            fi_funcs=self.fi_funcs,
-            fi_instrs=self.fi_instrs,
-            base_seed=self.base_seed,
-            indices=tuple(indices),
-            keep_records=self.keep_records,
-            opcode_faults=self.opcode_faults,
-            chunk=chunk,
-            engine=self.engine,
-            fault_model=self.fault_model,
+    @classmethod
+    def for_tool(
+        cls, tool: FITool, n: int, base_seed: int, keep_records: bool
+    ) -> "CampaignSpec":
+        """The spec of an ``n``-experiment campaign of a configured tool;
+        :meth:`make_tool` rebuilds the same tool on the worker side."""
+        return cls(
+            workload=tool.workload, source=tool.source, tool_name=tool.name,
+            n=n, base_seed=base_seed, keep_records=keep_records,
+            opt_level=tool.opt_level, fi_enabled=tool.config.enabled,
+            fi_funcs=tool.config.funcs, fi_instrs=tool.config.instrs,
+            opcode_faults=tool.opcode_faults, engine=tool.engine_spec,
+            fault_model=tool.fault_model.spec,
+        )
+
+    def make_tool(self, cache_dir: str | None = None) -> FITool:
+        """This campaign's tool (compiled lazily, on first use);
+        ``cache_dir`` persists its decoded translations."""
+        return make_tool(
+            self.tool_name, self.source, self.workload,
+            config=FIConfig(
+                enabled=self.fi_enabled, funcs=self.fi_funcs,
+                instrs=self.fi_instrs,
+            ),
+            opt_level=self.opt_level, opcode_faults=self.opcode_faults,
+            engine=self.engine, fault_model=self.fault_model,
+            cache_dir=cache_dir,
         )

@@ -8,12 +8,12 @@ golden cursor), and can be killed at any moment without corrupting the
 campaign: the coordinator's lease timeout requeues whatever it was
 holding.
 
-Slices execute through the exact machinery the single-host runners use
-(:func:`repro.campaign.parallel.run_part` /
-:func:`repro.campaign.parallel.run_slice`), so a distributed campaign is
-bit-identical to a sequential one.  With ``procs > 1`` a worker fans each
-leased task out over a local process pool — the cluster topology the paper
-used: many nodes, each fully subscribed (Appendix A.4).
+Slices execute through the campaign runner's own execution path
+(:func:`repro.campaign.runner.run_part`), so a distributed campaign is
+bit-identical to a sequential one.  A node is fully subscribed the way the
+paper's cluster was (Appendix A.4) by running one worker per core
+(``refine-worker -j N``, or ``refine-campaign -j N`` on one host), each
+with its own connection.
 """
 
 from __future__ import annotations
@@ -21,24 +21,15 @@ from __future__ import annotations
 import random
 import time
 from concurrent.futures import (
-    FIRST_EXCEPTION,
     Future,
-    ProcessPoolExecutor,
     ThreadPoolExecutor,
     TimeoutError as FutureTimeout,
-    wait as futures_wait,
 )
 from dataclasses import dataclass
 
-from repro.campaign.io import merge_results
-from repro.campaign.parallel import (
-    init_pool_process,
-    run_part,
-    run_slice,
-    runner_for,
-)
 from repro.campaign.results import CampaignResult
-from repro.campaign.schedule import PhaseTimes, RetainedSchedulers
+from repro.campaign.runner import run_part, runner_for
+from repro.campaign.schedule import RetainedSchedulers
 from repro.dist.client import CoordinatorClient
 from repro.dist.protocol import CampaignSpec, decode_indices
 from repro.errors import DistConnectionError, DistError
@@ -63,7 +54,8 @@ class WorkerStats:
 class Worker:
     """Connect to a coordinator and run leased campaign slices until done.
 
-    ``procs > 1`` splits every leased task across a local process pool.
+    ``cache_dir`` persists the fast engine's decoded translations across
+    worker processes (the ``-j`` runner passes ``<checkpoint-dir>/decoded``).
     ``die_after=k`` is a test failpoint: the worker abruptly drops its
     connection while holding its ``k+1``-th lease, simulating a crash.
 
@@ -84,24 +76,21 @@ class Worker:
         host: str,
         port: int,
         *,
-        procs: int = 1,
         name: str | None = None,
+        cache_dir: str | None = None,
         die_after: int | None = None,
         reconnect_window: float = 0.0,
         reconnect_base: float = 0.5,
         reconnect_cap: float = 15.0,
     ) -> None:
-        if procs < 1:
-            raise DistError("procs must be >= 1")
-        self._client = CoordinatorClient(host, port, name=name, procs=procs)
-        self._procs = procs
+        self._client = CoordinatorClient(host, port, name=name)
+        self._cache_dir = cache_dir
         self._die_after = die_after
         self._reconnect_window = reconnect_window
         self._reconnect_base = reconnect_base
         self._reconnect_cap = reconnect_cap
         #: one (tool, scheduler) per campaign spec, golden chain included
         self._runners = RetainedSchedulers()
-        self._pool: ProcessPoolExecutor | None = None
 
     def run(self) -> WorkerStats:
         """Work until the coordinator reports the campaign done.
@@ -154,9 +143,6 @@ class Worker:
         finally:
             if runner is not None:
                 runner.shutdown(wait=False, cancel_futures=True)
-            if self._pool is not None:
-                self._pool.shutdown(wait=False, cancel_futures=True)
-                self._pool = None
             self._client.close()
 
     def _serve(self, stats: WorkerStats, runner: ThreadPoolExecutor) -> bool:
@@ -254,42 +240,9 @@ class Worker:
     def _run_task(
         self, spec: CampaignSpec, indices: tuple[int, ...]
     ) -> CampaignResult:
-        if self._procs > 1 and len(indices) > 1:
-            return self._run_task_pooled(spec, indices)
         # The retained scheduler resumes this lease from its golden chain;
         # its stats and phases are this lease's alone.
         tool, scheduler = self._runners.get(
-            spec, lambda: runner_for(spec.slice_task(()).make_tool())
+            spec, lambda: runner_for(spec.make_tool(self._cache_dir))
         )
         return run_part(tool, spec.base_seed, indices, scheduler)
-
-    def _run_task_pooled(
-        self, spec: CampaignSpec, indices: tuple[int, ...]
-    ) -> CampaignResult:
-        """Split one task across the local process pool (``-j N``)."""
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self._procs, initializer=init_pool_process
-            )
-        step = max(1, -(-len(indices) // self._procs))
-        slices = [
-            indices[lo:lo + step] for lo in range(0, len(indices), step)
-        ]
-        tasks = [
-            spec.slice_task(sub, chunk=ci) for ci, sub in enumerate(slices)
-        ]
-        futures = [self._pool.submit(run_slice, t) for t in tasks]
-        futures_wait(futures, return_when=FIRST_EXCEPTION)
-        parts = [f.result() for f in futures]  # re-raises the first failure
-        merged = merge_results(parts, indices=slices)
-        merged.n = len(indices)
-        phases = PhaseTimes()
-        totals: dict[str, int] = {}
-        for p in parts:
-            phases.accumulate(getattr(p, "phase_times", None) or {})
-            for key, val in (getattr(p, "scheduler_stats", None) or {}).items():
-                totals[key] = totals.get(key, 0) + val
-        merged.phase_times = phases.as_dict()
-        if totals:
-            merged.scheduler_stats = totals
-        return merged

@@ -3,8 +3,8 @@
 Three paths feed the store, all converging on the same rows:
 
 * :class:`DatabaseSink` — consumes the live telemetry stream (see
-  :mod:`repro.campaign.events`) from the sequential runner, the parallel
-  runner or the distributed coordinator.  Inserts are batched into one
+  :mod:`repro.campaign.events`) from the sequential runner or the
+  coordinator (``-j``, ``--dist``, the service).  Inserts are batched into one
   transaction per ``batch`` experiments and keyed by the experiment's
   global index, so checkpoint resume and requeued distributed tasks
   re-delivering the same experiment are silently deduplicated

@@ -30,21 +30,18 @@ class LocalService:
             cid = svc.client.submit({"workloads": [...], "tools": [...], "n": 8})
             svc.client.watch(cid)
 
-    Keyword arguments besides ``workers``, ``worker_procs`` and
-    ``reconnect_window`` pass straight through to
-    :class:`ServiceCoordinator`.
+    Keyword arguments besides ``workers`` and ``reconnect_window`` pass
+    straight through to :class:`ServiceCoordinator`.
     """
 
     def __init__(
         self,
         *,
         workers: int = 2,
-        worker_procs: int = 1,
         reconnect_window: float = 0.0,
         **coordinator_kwargs,
     ) -> None:
         self._worker_count = workers
-        self._worker_procs = worker_procs
         self._reconnect_window = reconnect_window
         self._coordinator_kwargs = dict(coordinator_kwargs)
         self._threads: list[threading.Thread] = []
@@ -60,14 +57,12 @@ class LocalService:
         self.host, self.port = self.coordinator.start()
         self.client = ServiceClient(self.host, self.port)
         for _ in range(self._worker_count):
-            self.start_worker(procs=self._worker_procs)
+            self.start_worker()
 
-    def start_worker(
-        self, *, procs: int = 1, name: str | None = None
-    ) -> Worker:
+    def start_worker(self, *, name: str | None = None) -> Worker:
         """Spawn one worker thread against the current coordinator."""
         worker = Worker(
-            self.host, self.port, procs=procs, name=name,
+            self.host, self.port, name=name,
             reconnect_window=self._reconnect_window,
         )
 

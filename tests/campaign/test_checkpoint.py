@@ -8,8 +8,9 @@ from repro.campaign import (
     CampaignCheckpoint,
     load_checkpoint,
     make_tool,
+    matrix_checkpoint_path,
     run_campaign,
-    run_campaign_parallel,
+    run_matrix,
     save_checkpoint,
     try_load_checkpoint,
 )
@@ -154,31 +155,31 @@ class TestSequentialResume:
 class TestParallelResume:
     N = 16
 
+    def _parallel(self, ckpt_dir, **kwargs):
+        """The demo/REFINE cell on two local worker processes."""
+        matrix = run_matrix(
+            {"demo": DEMO_SOURCE}, ("REFINE",), self.N, base_seed=9,
+            workers=2, checkpoint_dir=ckpt_dir, checkpoint_every=1, **kwargs
+        )
+        return matrix[("demo", "REFINE")]
+
     def test_kill_and_resume_bit_identical(self, tmp_path):
         sequential = run_campaign(
             make_tool("REFINE", DEMO_SOURCE, "demo"), n=self.N, base_seed=9,
             keep_records=True,
         )
-        ck = tmp_path / "par.ckpt.json"
+        ck = matrix_checkpoint_path(tmp_path, "demo", "REFINE")
 
-        def killer(done, n):
+        def killer(workload, tool, done, n):
             if done >= 4:
                 raise _Kill
 
         with pytest.raises(_Kill):
-            run_campaign_parallel(
-                "REFINE", DEMO_SOURCE, "demo", n=self.N, workers=2,
-                base_seed=9, keep_records=True, checkpoint_path=ck,
-                checkpoint_every=1, chunk_size=2, progress=killer,
-            )
+            self._parallel(tmp_path, keep_records=True, progress=killer)
         killed = load_checkpoint(ck)
         assert 0 < len(killed.completed) < self.N
 
-        resumed = run_campaign_parallel(
-            "REFINE", DEMO_SOURCE, "demo", n=self.N, workers=2, base_seed=9,
-            keep_records=True, checkpoint_path=ck, checkpoint_every=1,
-            chunk_size=2,
-        )
+        resumed = self._parallel(tmp_path, keep_records=True)
         assert resumed.n == self.N
         assert resumed.counts == sequential.counts
         assert resumed.total_steps == sequential.total_steps
@@ -194,18 +195,14 @@ class TestParallelResume:
     ):
         """Checkpoints are execution-mode agnostic: a parallel run's
         checkpoint can be finished by the sequential runner."""
-        ck = tmp_path / "cross.ckpt.json"
+        ck = matrix_checkpoint_path(tmp_path, "demo", "REFINE")
 
-        def killer(done, n):
+        def killer(workload, tool, done, n):
             if done >= 4:
                 raise _Kill
 
         with pytest.raises(_Kill):
-            run_campaign_parallel(
-                "REFINE", DEMO_SOURCE, "demo", n=self.N, workers=2,
-                base_seed=9, checkpoint_path=ck, checkpoint_every=1,
-                chunk_size=2, progress=killer,
-            )
+            self._parallel(tmp_path, progress=killer)
         finished = run_campaign(
             make_tool("REFINE", DEMO_SOURCE, "demo"), n=self.N, base_seed=9,
             checkpoint_path=ck,

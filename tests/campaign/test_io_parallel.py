@@ -1,4 +1,5 @@
-"""Tests for campaign persistence and the multi-process runner."""
+"""Tests for campaign persistence and the ``-j`` (local worker process)
+runner."""
 
 import dataclasses
 import json
@@ -16,8 +17,8 @@ from repro.campaign import (
     result_from_dict,
     result_to_dict,
     run_campaign,
-    run_campaign_parallel,
     run_matrix,
+    run_part,
     save_matrix,
 )
 from repro.errors import CampaignError
@@ -180,45 +181,55 @@ class TestMerge:
             merge_results([a, b])
 
 
+def _parallel(tool_name, n, workers=2, **kwargs):
+    """One cell run by ``run_matrix`` on local worker processes."""
+    matrix = run_matrix(
+        {"demo": DEMO_SOURCE}, (tool_name,), n, workers=workers, **kwargs
+    )
+    return matrix[("demo", tool_name)]
+
+
 class TestParallelRunner:
     def test_matches_sequential_exactly(self):
         """Seeds derive from global experiment indices, so worker count must
         not change any outcome."""
         tool = make_tool("REFINE", DEMO_SOURCE, "demo")
         sequential = run_campaign(tool, n=16, base_seed=99)
-        parallel = run_campaign_parallel(
-            "REFINE", DEMO_SOURCE, "demo", n=16, workers=3, base_seed=99
-        )
+        parallel = _parallel("REFINE", 16, workers=3, base_seed=99)
         assert parallel.counts == sequential.counts
         assert parallel.total_cycles == pytest.approx(sequential.total_cycles)
         assert parallel.n == 16
 
     def test_single_worker_path(self):
-        result = run_campaign_parallel(
-            "PINFI", DEMO_SOURCE, "demo", n=5, workers=1
-        )
+        result = _parallel("PINFI", 5, workers=1)
         assert result.n == 5
 
     def test_more_workers_than_experiments(self):
-        result = run_campaign_parallel(
-            "PINFI", DEMO_SOURCE, "demo", n=3, workers=8
-        )
+        result = _parallel("PINFI", 3, workers=8)
         assert result.n == 3
 
-    def test_validation(self):
+    def test_validation(self, monkeypatch):
+        def _no_processes(*args, **kwargs):
+            raise AssertionError("a worker process started")
+
+        # Bad input fails in the caller, before any worker process starts.
+        monkeypatch.setattr(
+            "repro.dist.local.start_processes", _no_processes
+        )
         with pytest.raises(CampaignError):
-            run_campaign_parallel("REFINE", DEMO_SOURCE, "demo", n=0)
+            _parallel("REFINE", 0)
         with pytest.raises(CampaignError):
-            run_campaign_parallel("REFINE", DEMO_SOURCE, "demo", n=5, workers=0)
+            _parallel("REFINE", 5, workers=0)
         with pytest.raises(CampaignError):
-            run_campaign_parallel("GDB", DEMO_SOURCE, "demo", n=5)
+            _parallel("GDB", 5)
+        with pytest.raises(CampaignError, match="OP-code"):
+            _parallel("LLFI", 5, fault_model="opcode")
 
     def test_keep_records_matches_sequential(self):
         tool = make_tool("REFINE", DEMO_SOURCE, "demo")
         sequential = run_campaign(tool, n=12, base_seed=3, keep_records=True)
-        parallel = run_campaign_parallel(
-            "REFINE", DEMO_SOURCE, "demo", n=12, workers=3, base_seed=3,
-            keep_records=True,
+        parallel = _parallel(
+            "REFINE", 12, workers=3, base_seed=3, keep_records=True
         )
         assert len(parallel.records) == 12
         assert [r.index for r in parallel.records] == list(range(12))
@@ -234,9 +245,9 @@ class TestParallelRunner:
         sequential one when OP-code corruption is enabled."""
         tool = make_tool("REFINE", DEMO_SOURCE, "demo", opcode_faults=0.5)
         sequential = run_campaign(tool, n=12, base_seed=11, keep_records=True)
-        parallel = run_campaign_parallel(
-            "REFINE", DEMO_SOURCE, "demo", n=12, workers=3, base_seed=11,
-            keep_records=True, opcode_faults=0.5,
+        parallel = _parallel(
+            "REFINE", 12, workers=3, base_seed=11, keep_records=True,
+            opcode_faults=0.5,
         )
         assert parallel.counts == sequential.counts
         assert [r.fault.operand_desc for r in parallel.records] == [
@@ -249,21 +260,20 @@ class TestParallelRunner:
 
     def test_opcode_faults_rejected_for_llfi(self):
         with pytest.raises(CampaignError, match="instruction encoding"):
-            run_campaign_parallel(
-                "LLFI", DEMO_SOURCE, "demo", n=5, opcode_faults=0.1
-            )
+            _parallel("LLFI", 5, opcode_faults=0.1)
         with pytest.raises(CampaignError, match="probability"):
-            run_campaign_parallel(
-                "REFINE", DEMO_SOURCE, "demo", n=5, opcode_faults=1.5
-            )
+            _parallel("REFINE", 5, opcode_faults=1.5)
 
     def test_progress_reports_chunk_completions(self):
+        # n=8 shards into one-experiment tasks; progress fires after each
+        # accepted task, in the calling thread, with the cell's running
+        # total.
         seen = []
-        run_campaign_parallel(
-            "REFINE", DEMO_SOURCE, "demo", n=8, workers=2, chunk_size=2,
-            progress=lambda done, total: seen.append((done, total)),
+        _parallel(
+            "REFINE", 8, workers=2,
+            progress=lambda *args: seen.append(args),
         )
-        assert sorted(seen) == [(2, 8), (4, 8), (6, 8), (8, 8)]
+        assert seen == [("demo", "REFINE", k, 8) for k in range(1, 9)]
 
 
 class TestMatrixRecords:
@@ -310,20 +320,19 @@ class TestMergeDistributedParts:
         )
 
     def test_out_of_order_chunks_equal_sequential(self):
-        from repro.campaign.parallel import SliceTask, run_slice
         from repro.campaign.runner import DEFAULT_SEED
+        from repro.dist import CampaignSpec
 
         tool = make_tool("REFINE", DEMO_SOURCE, "demo")
         seq = run_campaign(tool, n=12, keep_records=True)
+        spec = CampaignSpec(
+            workload="demo", source=DEMO_SOURCE, tool_name="REFINE", n=12,
+            keep_records=True,
+        )
         chunks = [tuple(range(8, 12)), tuple(range(0, 4)), tuple(range(4, 8))]
         parts = [
-            run_slice(SliceTask(
-                tool_name="REFINE", source=DEMO_SOURCE, workload="demo",
-                opt_level="O2", fi_enabled=True, fi_funcs="*",
-                fi_instrs="all", base_seed=DEFAULT_SEED, indices=chunk,
-                keep_records=True, opcode_faults=0.0, chunk=ci,
-            ))
-            for ci, chunk in enumerate(chunks)
+            run_part(spec.make_tool(), DEFAULT_SEED, chunk)
+            for chunk in chunks
         ]
         merged = merge_results(parts, indices=chunks)
         merged.records.sort(key=lambda rec: rec.index)

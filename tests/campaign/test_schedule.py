@@ -16,7 +16,7 @@ from repro.campaign import (
     read_events,
     resolve_trigger_order,
     run_campaign,
-    run_campaign_parallel,
+    run_matrix,
 )
 from repro.campaign.io import result_to_dict
 from repro.campaign.schedule import MIN_CHAIN_INTERVAL, chain_interval
@@ -287,31 +287,34 @@ class TestCheckpointResume:
         _assert_equivalent(resumed, baseline)
 
 
+def _parallel(**kwargs):
+    """The demo/REFINE cell on two local worker processes."""
+    matrix = run_matrix(
+        {"demo": DEMO_SOURCE}, ("REFINE",), N, base_seed=SEED, workers=2,
+        **kwargs,
+    )
+    return matrix[("demo", "REFINE")]
+
+
 class TestParallelEquivalence:
     def test_parallel_trigger_bit_identical(self):
         baseline = _reference()
-        parallel = run_campaign_parallel(
-            "REFINE", DEMO_SOURCE, "demo", N, workers=2, base_seed=SEED,
-            keep_records=True,
-        )
+        parallel = _parallel(keep_records=True)
         assert _records_key(parallel) == _records_key(baseline)
         _assert_equivalent(parallel, baseline)
 
     def test_parallel_trigger_finish_event_aggregates(self, tmp_path):
         log_path = tmp_path / "events.jsonl"
         log = EventLog(log_path)
-        run_campaign_parallel(
-            "REFINE", DEMO_SOURCE, "demo", N, workers=2, base_seed=SEED,
-            events=log,
-        )
+        _parallel(events=log)
         log.close()
         events = read_events(log_path)
-        finish = [e for e in events if e["event"] == "campaign_finish"][0]
+        finish = [e for e in events if e["event"] == "cell_finish"][0]
         assert finish["schedule"] == "trigger"
         assert finish["scheduler"]["experiments"] == N
-        chunk_stats = [
+        task_stats = [
             e for e in events
-            if e["event"] == "scheduler_stats" and "chunk" in e
+            if e["event"] == "scheduler_stats" and "task" in e
         ]
-        # Per-chunk stats are independent schedulers; they sum to the totals.
-        assert sum(e["experiments"] for e in chunk_stats) == N
+        # Per-task stats are independent schedulers; they sum to the totals.
+        assert sum(e["experiments"] for e in task_stats) == N

@@ -14,8 +14,7 @@ pytestmark = pytest.mark.slow
 
 from repro.campaign import make_tool, read_events, run_campaign
 from repro.campaign.io import result_to_dict
-from repro.campaign.parallel import run_slice
-from repro.campaign.runner import matrix_checkpoint_path
+from repro.campaign.runner import matrix_checkpoint_path, run_part
 from repro.dist import (
     CampaignSpec,
     Coordinator,
@@ -81,13 +80,42 @@ class TestEquivalence:
             tool = make_tool(spec.tool_name, DEMO_SOURCE, "demo")
             _assert_identical(results[spec.key], run_campaign(tool, n=8))
 
-    def test_worker_process_pool_bit_identical(self, sequential):
-        # -j 2: each leased task fans out over a local process pool.
-        with LocalCluster(
-            _spec(), workers=1, worker_procs=2, chunk_size=8
-        ) as cluster:
-            results = cluster.results(timeout=120)
+    def test_results_come_back_in_spec_order(self):
+        # CG is one long task, EP two quick ones: EP finishes first, yet
+        # the matrix (and so the CSV) keeps the order the specs were given.
+        from repro.workloads import get_workload
+
+        specs = [
+            CampaignSpec(
+                workload=name, source=get_workload(name).source,
+                tool_name="REFINE", n=n,
+            )
+            for name, n in (("CG", 40), ("EP", 2))
+        ]
+        with LocalCluster(specs, workers=2, chunk_size=40) as cluster:
+            results = cluster.results(timeout=300)
+        assert list(results) == [("CG", "REFINE"), ("EP", "REFINE")]
+
+    def test_worker_cli_j2_processes_bit_identical(self, sequential, tmp_path):
+        # refine-worker -j 2: two worker processes, each with its own
+        # connection, against one coordinator.
+        from repro.cli import worker_main
+
+        log = tmp_path / "events.jsonl"
+        with EventLog(log) as events:
+            coordinator = Coordinator(
+                _spec(), port=0, chunk_size=2, events=events
+            )
+            host, port = coordinator.start()
+            try:
+                assert worker_main([f"{host}:{port}", "-j", "2", "-q"]) == 0
+                results = coordinator.wait(timeout=120)
+            finally:
+                coordinator.stop()
         _assert_identical(results[KEY], sequential)
+        joined = _events_named(log, "worker_join")
+        assert len({e["worker"] for e in joined}) == 2
+        assert all(e["procs"] == 1 for e in joined)
 
 
 class TestFaultTolerance:
@@ -122,9 +150,7 @@ class TestFaultTolerance:
                 _spec(), workers=0, chunk_size=4, lease_timeout=0.75,
                 backoff_base=0.01, events=events,
             ) as cluster:
-                zombie = CoordinatorClient(
-                    *cluster.address, name="zombie", procs=1
-                )
+                zombie = CoordinatorClient(*cluster.address, name="zombie")
                 zombie.connect()
                 lease = zombie.request_task()
                 assert lease["type"] == "lease"
@@ -155,10 +181,10 @@ class TestFaultTolerance:
                 slow = CoordinatorClient(*cluster.address, name="slow")
                 slow.connect()
                 lease = slow.request_task()
-                part = run_slice(
-                    CampaignSpec.from_dict(lease["spec"]).slice_task(
-                        decode_indices(lease["indices"])
-                    )
+                leased = CampaignSpec.from_dict(lease["spec"])
+                part = run_part(
+                    leased.make_tool(), leased.base_seed,
+                    decode_indices(lease["indices"]),
                 )
                 # Lease expires, someone else redoes the task...
                 cluster.start_worker(name="healthy")
@@ -390,11 +416,3 @@ class TestTriggerSchedule:
             e["reason"] == "disconnect"
             for e in _events_named(log, "task_requeue")
         )
-
-    def test_trigger_worker_process_pool(self, sequential):
-        with LocalCluster(
-            _spec(schedule="trigger"), workers=1, worker_procs=2,
-            chunk_size=8,
-        ) as cluster:
-            results = cluster.results(timeout=120)
-        self._assert_equivalent(results[KEY], sequential)

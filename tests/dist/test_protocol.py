@@ -126,15 +126,25 @@ class TestCampaignSpec:
     def test_key_is_matrix_cell(self):
         assert self._spec().key == ("demo", "REFINE")
 
-    def test_slice_task_carries_all_parameters(self):
-        spec = self._spec(keep_records=True)
-        task = spec.slice_task((2, 3, 4), chunk=1)
-        assert task.indices == (2, 3, 4)
-        assert task.chunk == 1
-        assert task.tool_name == "REFINE"
-        assert task.workload == "demo"
-        assert task.base_seed == spec.base_seed
-        assert task.keep_records is True
+    def test_make_tool_carries_all_parameters(self):
+        spec = self._spec(
+            keep_records=True, opt_level="O1", fi_funcs="main",
+            fi_instrs="arithm", opcode_faults=0.25, engine="reference",
+            fault_model="multi-bit:k=3",
+        )
+        tool = spec.make_tool()
+        assert tool.name == "REFINE"
+        assert tool.workload == "demo"
+        assert tool.opt_level == "O1"
+        assert (tool.config.funcs, tool.config.instrs) == ("main", "arithm")
+        assert tool.opcode_faults == 0.25
+        assert tool.engine_spec == "reference"
+        assert tool.fault_model.spec == spec.fault_model
+        # for_tool inverts make_tool: the spec a tool was built from.
+        again = CampaignSpec.for_tool(
+            tool, spec.n, spec.base_seed, spec.keep_records
+        )
+        assert again == spec
 
     @pytest.mark.parametrize(
         "overrides",

@@ -3,12 +3,15 @@
 :class:`TestBackoff` unit-tests :meth:`Worker._backoff_or_raise` with
 patched clocks — no sockets.  :class:`TestLiveReconnect` drives a real
 worker against a minimal coordinator that crashes and comes back on the
-same port, and against an address nothing listens on.  The full-service
-bounce test is ``tests/service/test_service.py::TestWorkerReconnect``.
+same port, and against an address nothing listens on.
+:class:`TestClientDeadlines` points a client at peers that accept and then
+never answer.  The full-service bounce test is
+``tests/service/test_service.py::TestWorkerReconnect``.
 """
 
 import pytest
 
+from repro.dist.client import CoordinatorClient
 from repro.dist.worker import Worker
 from repro.errors import DistConnectionError, DistError
 
@@ -189,3 +192,64 @@ class TestLiveReconnect:
         with pytest.raises(DistConnectionError, match="cannot reach coordinator"):
             worker.run()
         assert time.monotonic() - started < 5.0
+
+
+class TestClientDeadlines:
+    """Every reply has a deadline, and a missed one is a connection loss
+    (so the worker's reconnect window applies), not a hang."""
+
+    def test_silent_listener_times_out_the_handshake(self):
+        import socket
+        import time
+
+        # Listens (the kernel completes the TCP handshake) but never
+        # accepts, reads or answers.
+        with socket.create_server(("127.0.0.1", 0)) as silent:
+            client = CoordinatorClient(
+                *silent.getsockname()[:2], connect_timeout=0.3
+            )
+            started = time.monotonic()
+            with pytest.raises(DistConnectionError):
+                client.connect()
+            assert time.monotonic() - started < 5.0
+            client.close()
+
+    def test_silence_after_welcome_times_out_the_reply(self):
+        import socket
+        import threading
+        import time
+
+        from repro.dist.protocol import recv_message, send_message
+
+        requested, release = threading.Event(), threading.Event()
+
+        def _welcome_then_hang(listener):
+            conn, _ = listener.accept()
+            with conn:
+                recv_message(conn)
+                send_message(conn, {
+                    "type": "welcome", "version": 2, "worker": "w-silent",
+                    "heartbeat_s": 0.1, "lease_timeout_s": 0.2,
+                })
+                recv_message(conn)  # the request, never answered
+                requested.set()
+                release.wait(5.0)
+
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            peer = threading.Thread(
+                target=_welcome_then_hang, args=(listener,), daemon=True
+            )
+            peer.start()
+            client = CoordinatorClient(
+                *listener.getsockname()[:2], connect_timeout=0.3
+            )
+            client.connect()
+            started = time.monotonic()
+            # max(connect_timeout, lease_timeout_s) = 0.3 s
+            with pytest.raises(DistConnectionError):
+                client.request_task()
+            assert time.monotonic() - started < 2.0
+            assert requested.is_set()
+            client.close()
+            release.set()
+            peer.join(timeout=5.0)

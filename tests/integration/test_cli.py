@@ -189,6 +189,17 @@ class TestExitCodes:
 
         assert worker_main(["127.0.0.1:9100", "-j", "0"]) == 2
 
+    def test_dist_with_local_workers_is_usage_error(self, capsys):
+        # --dist runs no worker itself; -j belongs on refine-worker.
+        assert campaign_main(
+            ["-w", "EP", "-n", "2", "--dist", "127.0.0.1:0", "-j", "2"]
+        ) == 2
+        assert "refine-worker HOST:PORT -j 2" in capsys.readouterr().err
+
+    def test_bad_workers_is_usage_error(self, capsys):
+        assert campaign_main(["-w", "EP", "-n", "2", "-j", "0"]) == 2
+        assert "-j must be >= 1" in capsys.readouterr().err
+
     def test_worker_unreachable_coordinator_fails(self, capsys):
         import socket
 

@@ -9,10 +9,9 @@ import json
 
 import pytest
 
-from repro.campaign import run_campaign
+from repro.campaign import run_campaign, run_matrix
 from repro.campaign.classify import Outcome
 from repro.campaign.io import merge_results, result_to_dict, save_matrix
-from repro.campaign.parallel import run_campaign_parallel
 from repro.campaign.events import EventLog
 from repro.campaign.runner import DEFAULT_SEED, make_tool
 from repro.errors import ResultsDBError
@@ -143,10 +142,10 @@ class TestLiveWriteThrough:
     def test_parallel_campaign_events_ingest_identically(self, tmp_path):
         log = tmp_path / "parallel.jsonl"
         with EventLog(log) as events:
-            par = run_campaign_parallel(
-                "REFINE", DEMO_SOURCE, "demo", n=20, workers=2,
-                chunk_size=6, keep_records=True, events=events,
-            )
+            par = run_matrix(
+                {"demo": DEMO_SOURCE}, ("REFINE",), n=20, workers=2,
+                keep_records=True, events=events,
+            )[KEY]
         with ResultsDB() as db:
             ingest_events(db, log)
             stored = matrix_from_db(db)[KEY]
@@ -174,19 +173,18 @@ class TestResultImport:
         # The backfill contract: importing the parts of a sliced campaign
         # tallies exactly what merge_results computes from the same parts
         # — including dropping a duplicate (requeued) part.
-        from repro.campaign.parallel import SliceTask, run_slice
+        from repro.campaign import run_part
+        from repro.dist import CampaignSpec
 
         n = 12
         slices = [tuple(range(0, 6)), tuple(range(6, n)),
                   tuple(range(6, n))]  # the last is a duplicate delivery
+        spec = CampaignSpec(
+            workload="demo", source=DEMO_SOURCE, tool_name="REFINE", n=n,
+            keep_records=True,
+        )
         parts = [
-            run_slice(SliceTask(
-                tool_name="REFINE", source=DEMO_SOURCE, workload="demo",
-                opt_level="O2", fi_enabled=True, fi_funcs="*", fi_instrs="all",
-                base_seed=DEFAULT_SEED, indices=ix, keep_records=True,
-                opcode_faults=0.0, chunk=i,
-            ))
-            for i, ix in enumerate(slices)
+            run_part(spec.make_tool(), DEFAULT_SEED, ix) for ix in slices
         ]
         merged = merge_results(parts, indices=slices)
         with ResultsDB() as db:

@@ -18,7 +18,7 @@ pytestmark = pytest.mark.slow
 from repro.campaign import run_campaign
 from repro.campaign.events import EventLog
 from repro.campaign.io import load_matrix, result_to_dict
-from repro.campaign.parallel import run_slice
+from repro.campaign.runner import run_part
 from repro.campaign.runner import make_tool
 from repro.cli import campaign_main
 from repro.dist import (
@@ -111,10 +111,10 @@ class TestDistributedWriteThrough:
                     slow = CoordinatorClient(*cluster.address, name="slow")
                     slow.connect()
                     lease = slow.request_task()
-                    part = run_slice(
-                        CampaignSpec.from_dict(lease["spec"]).slice_task(
-                            decode_indices(lease["indices"])
-                        )
+                    leased = CampaignSpec.from_dict(lease["spec"])
+                    part = run_part(
+                        leased.make_tool(), leased.base_seed,
+                        decode_indices(lease["indices"]),
                     )
                     cluster.start_worker(name="healthy")
                     results = cluster.results(timeout=120)

@@ -20,7 +20,6 @@ from repro.campaign import (
     run_campaign,
     run_matrix,
 )
-from repro.campaign.parallel import run_campaign_parallel
 from repro.campaign.runner import DEFAULT_SEED, make_tool
 from repro.fi.tools import TOOL_ORDER
 from repro.workloads import get_workload, workload_names
@@ -86,12 +85,14 @@ def test_sequential_snapshot_equals_scratch(workload, tool_name):
 
 
 def test_parallel_snapshot_equals_scratch(tmp_path):
+    """``-j 2``: two worker processes each resume their leases from their
+    own golden chain and share the decoded cache under the checkpoints."""
     workload, tool_name = "EP", "REFINE"
     ref = _scratch(tool_name, workload)
-    out = run_campaign_parallel(
-        tool_name, _source(workload), workload, N, workers=2,
-        keep_records=True, chunk_size=2, cache_dir=tmp_path / "decoded",
-    )
+    out = run_matrix(
+        {workload: _source(workload)}, [tool_name], N, workers=2,
+        keep_records=True, checkpoint_dir=tmp_path,
+    )[(workload, tool_name)]
     assert_records_identical(ref, out, "parallel EP/REFINE")
     assert list((tmp_path / "decoded").glob("*.marshal"))
 

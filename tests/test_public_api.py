@@ -71,7 +71,7 @@ def test_public_modules_have_docstrings_on_public_functions():
     for obj in (
         campaign.run_campaign,
         campaign.run_matrix,
-        campaign.run_campaign_parallel,
+        campaign.run_part,
         campaign.save_matrix,
         fi.refine_instrument,
         fi.llfi_instrument,
